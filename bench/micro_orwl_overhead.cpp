@@ -277,19 +277,15 @@ int main(int argc, char** argv) {
   const sync::WaitStrategy kBlock = sync::WaitStrategy::block();
   const sync::WaitStrategy kSpinThenPark =
       sync::WaitStrategy::spin_then_park();
-  const sync::WaitStrategy kAuto = sync::WaitStrategy::spin_then_park_auto();
 
   std::vector<Micro> micros;
   micros.push_back(queue_renew_cycle());
   // Wait-strategy sweep: block (historical unsuffixed names) vs
-  // spin_then_park (static and self-tuned), for both grant-delivery
-  // modes.
+  // spin_then_park, for both grant-delivery modes.
   micros.push_back(runtime_alternation(false, kBlock, false));
   micros.push_back(runtime_alternation(true, kBlock, false));
   micros.push_back(runtime_alternation(false, kSpinThenPark, true));
   micros.push_back(runtime_alternation(true, kSpinThenPark, true));
-  micros.push_back(runtime_alternation(false, kAuto, true));
-  micros.push_back(runtime_alternation(true, kAuto, true));
   for (int n : {2, 4, 8}) micros.push_back(runtime_contention(n));
   for (int n : {2, 4, 8}) micros.push_back(runtime_shared_reads(n));
   // A/B: the same reader sweep with per-grant announcements, so every

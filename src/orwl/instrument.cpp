@@ -9,15 +9,12 @@ namespace orwl {
 Instrument::Instrument(int num_tasks, obs::Registry& registry)
     : read_grants_(registry.counter("orwl.grants.read")),
       write_grants_(registry.counter("orwl.grants.write")),
-      releases_(registry.counter("orwl.releases")),
       order_(num_tasks) {
   for (FlowShard& s : shards_) s.flows.resize(num_tasks);
 }
 
 bool Instrument::pristine() const {
-  if (read_grants_.read() != 0 || write_grants_.read() != 0 ||
-      releases_.read() != 0)
-    return false;
+  if (read_grants_.read() != 0 || write_grants_.read() != 0) return false;
   for (const FlowShard& s : shards_) {
     sync::LockGuard lock(s.mu);
     if (s.flows.total_volume() != 0.0) return false;
@@ -43,8 +40,6 @@ void Instrument::resize(int num_tasks) {
 void Instrument::record_grant(AccessMode mode) {
   (mode == AccessMode::Read ? read_grants_ : write_grants_).add(1);
 }
-
-void Instrument::record_release() { releases_.add(1); }
 
 void Instrument::record_flow(TaskId from, TaskId to, std::size_t bytes) {
   if (from < 0 || to < 0 || from == to || bytes == 0) return;

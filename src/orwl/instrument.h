@@ -1,16 +1,16 @@
 #pragma once
-// Runtime instrumentation: grant/release counters and the measured
+// Runtime instrumentation: grant counters and the measured
 // communication-flow matrix the placement module feeds to Algorithm 1.
 // "We exploit application information as it is gathered from ORWL runtime
 // to construct a weighted matrix that expresses the communication volume
 // between threads" (paper, Sec. II).
 //
 // The write paths run on the grant hot path (with a location queue lock
-// held), so there is no global instrument mutex: the grant/release
-// counters are cache-line-padded sharded counters (sync/sharded_counter.h)
-// and the flow matrix is striped into per-thread shards, each with its own
-// (practically uncontended) lock. Readers — reports, epoch boundaries —
-// flush by summing the shards; they are rare and off the hot path.
+// held), so there is no global instrument mutex: the grant counters are
+// cache-line-padded sharded counters (sync/sharded_counter.h) and the flow
+// matrix is striped into per-thread shards, each with its own (practically
+// uncontended) lock. Readers — reports, epoch boundaries — flush by
+// summing the shards; they are rare and off the hot path.
 
 #include <cstdint>
 
@@ -25,10 +25,10 @@ namespace orwl {
 
 class Instrument {
  public:
-  /// The grant/release counters live in `registry` ("orwl.grants.read",
-  /// "orwl.grants.write", "orwl.releases") so reports and the metrics dump
-  /// see them alongside the rest of the runtime's metrics. The registry
-  /// must outlive the Instrument (the Runtime owns both, registry first).
+  /// The grant counters live in `registry` ("orwl.grants.read",
+  /// "orwl.grants.write") so reports and the metrics dump see them
+  /// alongside the rest of the runtime's metrics. The registry must
+  /// outlive the Instrument (the Runtime owns both, registry first).
   Instrument(int num_tasks, obs::Registry& registry);
 
   /// Grow the matrix when tasks are added after construction.
@@ -37,7 +37,6 @@ class Instrument {
   void resize(int num_tasks);
 
   void record_grant(AccessMode mode);
-  void record_release();
 
   /// Account `bytes` flowing from task `from` (producer) to `to`
   /// (consumer). Ignored when from < 0 or from == to.
@@ -49,9 +48,8 @@ class Instrument {
   [[nodiscard]] std::uint64_t write_grants() const {
     return write_grants_.read();
   }
-  [[nodiscard]] std::uint64_t releases() const { return releases_.read(); }
 
-  /// True until the first record_grant/record_release/record_flow — the
+  /// True until the first record_grant/record_flow — the
   /// construction-phase window in which resize() is legal.
   [[nodiscard]] bool pristine() const;
 
@@ -82,7 +80,6 @@ class Instrument {
 
   obs::Counter& read_grants_;   // owned by the registry (see ctor note)
   obs::Counter& write_grants_;
-  obs::Counter& releases_;
   FlowShard shards_[kFlowShards];
   int order_ = 0;  ///< construction-phase only (resize before run)
 

@@ -2,7 +2,6 @@
 
 #include "support/assert.h"
 #include "sync/waiter.h"
-#include "topo/binding.h"
 
 namespace orwl {
 
@@ -189,16 +188,13 @@ void FifoQueue::mark_released(Request& req) {
 }
 
 void FifoQueue::combine() {
-  // The caller's cached NUMA node feeds the combiner's preferred-owner
-  // handoff (sync/combiner.h): sync:: sits below topo::, so the node id is
-  // plumbed in here, at the first layer that may know the topology.
-  combiner_.run([this] { advance(); }, topo::current_node_id());
+  combiner_.run([this] { advance(); });
 }
 
 void FifoQueue::advance() {
   const std::size_t cap = mask_ + 1;
   // order: relaxed — head_/granted_ are combiner-private: only mutated
-  // while holding the Combiner role, whose seq_cst handoff orders them
+  // while holding the Combiner role, whose acq_rel handoff orders them
   // across combiner threads. Atomic only for quiescent observers.
   Ticket head = head_.load(std::memory_order_relaxed);
 

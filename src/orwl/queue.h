@@ -216,11 +216,6 @@ class FifoQueue : public RequestPort {
   /// runtime applies RuntimeOptions::batch_grants; benches A/B it).
   void set_batch_grants(bool on) { batch_grants_ = on; }
 
-  /// The grant-path combiner — exposed for stats (handoffs/cross_node
-  /// metrics export) and for tests that shrink its handoff spin budgets.
-  [[nodiscard]] sync::Combiner& combiner() { return combiner_; }
-  [[nodiscard]] const sync::Combiner& combiner() const { return combiner_; }
-
  private:
   /// One ring slot. A ticket t lives in slots_[t & mask_]; the slot's
   /// `seq` walks t (free for round t) → t+1 (occupied by round t) →

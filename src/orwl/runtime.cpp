@@ -108,21 +108,9 @@ HandleId Runtime::add_handle(TaskId task, LocationId location, AccessMode mode,
   // Per-handle observability: wait-length and acquire-latency histograms,
   // named by handle so the dump/report can attribute contention.
   const std::string suffix = "/h" + std::to_string(id);
-  obs::Histogram& wait_rounds =
-      metrics_.histogram("orwl.wait_rounds" + suffix);
-  handles_.back()->set_metrics(&wait_rounds,
-                               &metrics_.histogram("orwl.acquire_ns" + suffix));
-  if (opts_.wait.mode == sync::WaitMode::Auto) {
-    // Self-tuning wait: the handle re-reads this budget every acquire;
-    // retune_wait_budgets() re-derives it from wait_rounds at every epoch
-    // boundary and exports it through the gauge.
-    auto rec = std::make_unique<WaitTuneRec>();
-    rec->wait_rounds = &wait_rounds;
-    rec->budget_gauge = &metrics_.gauge("orwl.spin_budget" + suffix);
-    rec->budget_gauge->set(rec->budget.spins());
-    handles_.back()->set_spin_budget(&rec->budget);
-    wait_tuners_.push_back(std::move(rec));
-  }
+  handles_.back()->set_metrics(
+      &metrics_.histogram("orwl.wait_rounds" + suffix),
+      &metrics_.histogram("orwl.acquire_ns" + suffix));
   if (prime) prime_order_.push_back(id);
   return id;
 }
@@ -173,10 +161,6 @@ void Runtime::epoch_fire(sync::UniqueLock& lock) {
     hook_error = std::current_exception();
   }
   obs::trace(obs::EventKind::EpochEnd, static_cast<std::uint64_t>(epoch));
-  // Self-tuning waits ride the same boundary: the compute threads are
-  // still parked, so the wait-round histograms are quiescent and the
-  // epoch-window deltas exact.
-  retune_wait_budgets();
   lock.lock();
   esync_arrived_ = 0;
   // lint: allow-rmw(epoch generation bump, not a lock-free protocol)
@@ -185,17 +169,6 @@ void Runtime::epoch_fire(sync::UniqueLock& lock) {
   esync_generation_.fetch_add(1, std::memory_order_release);
   sync::notify_all(esync_generation_);
   if (hook_error) std::rethrow_exception(hook_error);
-}
-
-void Runtime::retune_wait_budgets() {
-  for (const auto& rec : wait_tuners_) {
-    const obs::HistogramSnapshot snap = rec->wait_rounds->snapshot();
-    std::array<std::uint64_t, obs::HistogramSnapshot::kBuckets> delta;
-    for (std::size_t i = 0; i < delta.size(); ++i)
-      delta[i] = snap.buckets[i] - rec->last[i];
-    rec->last = snap.buckets;
-    rec->budget_gauge->set(rec->budget.retune(delta.data(), delta.size()));
-  }
 }
 
 void Runtime::epoch_arrive(TaskId task, int round) {
@@ -587,17 +560,6 @@ void Runtime::run() {
   for (auto& rec : tasks_) rec.events->stop();
   for (auto& q : shared_queues_) q->stop();
   for (auto& th : control) th.join();
-
-  // Combiner locality stats, summed over the location queues now that
-  // everything is quiescent, so post-run snapshots read exact totals.
-  std::uint64_t handoffs = 0;
-  std::uint64_t cross_node = 0;
-  for (const auto& loc : locations_) {
-    handoffs += loc->queue().combiner().handoffs();
-    cross_node += loc->queue().combiner().cross_node();
-  }
-  metrics_.counter("orwl.combiner.handoffs").add(handoffs);
-  metrics_.counter("orwl.combiner.cross_node").add(cross_node);
 
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -22,7 +22,6 @@
 // Handle registration order defines the canonical initial FIFO insertion
 // order — the ORWL liveness discipline for iterative programs.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -43,7 +42,6 @@
 #include "orwl/location.h"
 #include "orwl/task.h"
 #include "support/thread_annotations.h"
-#include "sync/adaptive_wait.h"
 #include "sync/mutex.h"
 #include "sync/wait_strategy.h"
 #include "topo/binding.h"
@@ -305,11 +303,6 @@ class Runtime : private GrantSink {
   /// most one event batch per destination queue. Serialized per location
   /// by the combiner; safe across locations (thread-local scratch only).
   void route_grant_batch(std::span<Request* const> reqs);
-  /// Re-derive every Auto handle's spin budget from its wait-round
-  /// histogram's last-epoch window (epoch-boundary context: compute
-  /// threads parked, so the snapshots are exact). No-op unless
-  /// RuntimeOptions::wait is spin_then_park(auto).
-  void retune_wait_budgets();
   void control_loop(TaskId task);
   void shared_control_loop(int pool_index);
   /// Deliver a drained event batch, coalescing duplicate announcements of
@@ -331,18 +324,6 @@ class Runtime : private GrantSink {
   std::vector<std::optional<topo::Bitmap>> shared_bindings_;
   obs::Registry metrics_;  // declared before stats_: Instrument borrows it
   Instrument stats_;
-
-  /// Self-tuning wait state, one per handle when RuntimeOptions::wait is
-  /// Auto (empty otherwise). unique_ptr: handles keep a pointer to the
-  /// budget, so records must not move when the vector grows.
-  struct WaitTuneRec {
-    sync::AdaptiveWaitBudget budget;
-    obs::Histogram* wait_rounds = nullptr;  ///< source histogram
-    obs::Gauge* budget_gauge = nullptr;     ///< exported current budget
-    /// Bucket snapshot at the previous retune; retunes act on the delta.
-    std::array<std::uint64_t, obs::HistogramSnapshot::kBuckets> last{};
-  };
-  std::vector<std::unique_ptr<WaitTuneRec>> wait_tuners_;
 
   GrantSink* remote_sink_ = nullptr;
   bool ran_ = false;

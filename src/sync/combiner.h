@@ -23,31 +23,6 @@
 // on one variable are totally ordered and each reads the previous value,
 // there is no store→load (Dekker) hazard anywhere — acq_rel suffices.
 //
-// HIERARCHICAL (NUMA-AWARE) COMBINING. The base protocol is topology-
-// blind: the combiner role lands on whichever announcer wins the race and
-// stays there while work keeps arriving, dragging the protected
-// structure's cache lines to wherever that thread happens to run. The
-// extension here makes the role *sticky to a package*: callers pass their
-// NUMA node id (plumbed down from topo:: by the queue layer — sync:: is
-// BELOW topo:: and never computes node ids itself), losing announcers
-// linger briefly on a per-node rendezvous, and a combiner that closes a
-// round with work still pending offers the role to a lingering announcer
-// on ITS OWN node before draining cross-package records itself. A
-// successful offer transfers the role plus the accounted backlog through
-// a baton word (release/acquire pair); an unclaimed offer is retracted by
-// CAS and the combiner simply continues — the role is never parked on a
-// peer that may have left, so liveness needs no timeout recovery.
-//
-// Handoff safety argument (docs/correctness.md "Combiner handoff safety"):
-// the baton is only ever offered by the thread currently holding the
-// role, BETWEEN two processing rounds (never mid-process), and the offer
-// ends in exactly one of two ways — the combiner's retracting CAS
-// succeeds (role retained) or a claimant's CAS succeeds (role
-// transferred). Both CAS on the same word on the same offered value, so
-// exactly one wins: processing stays mutually exclusive and the
-// pending-counter accounting transfers intact (handoff_mine_ rides the
-// baton's release/acquire edge).
-//
 // Used by orwl::FifoQueue to serialize grant-frontier advancement; kept
 // here because the shape is generic (any "multiple announcers, one
 // processor at a time" structure can reuse it).
@@ -55,123 +30,36 @@
 #include <atomic>
 #include <cstdint>
 
-#include "sync/waiter.h"
-
 namespace orwl::sync {
 
 class Combiner {
  public:
-  /// Callers with no topology information pass kAnyNode: they never
-  /// linger for a baton and are never offered one.
-  static constexpr int kAnyNode = -1;
-
-  /// Spin-loop observation hook, called once per rendezvous spin round
-  /// (linger and offer loops). Null by default (a plain pause). The model
-  /// checker points it at ThreadCtx::yield so the handoff window becomes
-  /// an explicit schedule point; set per thread, so concurrent worlds
-  /// cannot interfere.
-  struct SpinObserver {
-    void (*fn)(void*) = nullptr;
-    void* arg = nullptr;
-  };
-  // Explicit initializers: default member initializers of a nested struct
-  // are not usable until the enclosing class is complete.
-  static thread_local inline SpinObserver spin_observer{nullptr, nullptr};
-
   Combiner() = default;
   Combiner(const Combiner&) = delete;
   Combiner& operator=(const Combiner&) = delete;
 
   /// Announce one unit of work and process ALL outstanding work if this
-  /// thread wins (or is handed) the combiner role. `process` may be
-  /// invoked zero times (an active combiner will observe our
-  /// announcement) or several times (work kept arriving while we
-  /// combined). It runs mutually exclusive with every other `run` on this
-  /// Combiner. `process` must handle all outstanding work each call (it
-  /// is a "catch up completely" step, not a per-item callback).
-  ///
-  /// `node` is the caller's NUMA node id (topo::current_node_id() in the
-  /// runtime; kAnyNode disables the hierarchical path for this call).
+  /// thread wins the combiner role. `process` may be invoked zero times
+  /// (an active combiner will observe our announcement) or several times
+  /// (work kept arriving while we combined). It runs mutually exclusive
+  /// with every other `run` on this Combiner. `process` must handle all
+  /// outstanding work each call (it is a "catch up completely" step, not
+  /// a per-item callback).
   ///
   /// Exception-safe: if `process` throws, the pending counter is cleared
   /// before the exception propagates, so the queue is not wedged: the
   /// next announcement wins the role and catches up on anything the
   /// throwing round left behind.
   template <class F>
-  void run(F&& process, int node = kAnyNode) {
+  void run(F&& process) {
     // The release half publishes the caller's preceding writes to the
     // combiner that observes this increment (RMWs extend the release
     // sequence); the acquire half makes the winner see every earlier
     // announcer's writes.
     // order: acq_rel — see above.
-    if (pending_.fetch_add(1, std::memory_order_acq_rel) != 0) {
-      // Lost the race: an active combiner will account for us. Before
-      // leaving, maybe linger as a handoff candidate — but only when the
-      // combiner runs on OUR node (it never offers elsewhere), so the
-      // cross-node and unknown-node loser paths stay the single RMW they
-      // always were.
-      if (node < 0) return;
-      // order: relaxed — advisory locality probe (see combiner_node_).
-      const int cn = combiner_node_.load(std::memory_order_relaxed);
-      if (cn != node) {
-        if (cn >= 0)
-          // order: relaxed — monotonic statistic.
-          cross_node_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      const std::uint64_t transferred = linger_for_baton(node);
-      if (transferred != 0) combine_loop(process, node, transferred);
-      return;
-    }
-    // Advisory locality hint for losing announcers' cross-node
-    // accounting; carries no payload. Checked before storing: the
-    // uncontended fast path (one thread winning the role repeatedly)
-    // then costs a read of an unchanging line instead of dirtying it.
-    // order: relaxed — advisory hint, no payload (see above).
-    if (combiner_node_.load(std::memory_order_relaxed) != node)
-      combiner_node_.store(node, std::memory_order_relaxed);
-    combine_loop(process, node, 1);
-  }
-
-  /// Successful role transfers (metrics: orwl.combiner.handoffs).
-  [[nodiscard]] std::uint64_t handoffs() const {
-    // order: relaxed — monotonic statistic, read for reporting only.
-    return handoffs_.load(std::memory_order_relaxed);
-  }
-  /// Announcements absorbed by a combiner running on a different node
-  /// (metrics: orwl.combiner.cross_node) — the traffic hierarchical
-  /// combining exists to shrink.
-  [[nodiscard]] std::uint64_t cross_node() const {
-    // order: relaxed — monotonic statistic, read for reporting only.
-    return cross_node_.load(std::memory_order_relaxed);
-  }
-
-  /// Rendezvous spin budgets, in observation rounds. Quiescent setup only
-  /// (tests / the model checker shrink them to keep DFS state spaces
-  /// small); the defaults cost well under a microsecond.
-  void set_handoff_budgets(int linger_rounds, int offer_rounds) {
-    linger_rounds_ = linger_rounds;
-    offer_rounds_ = offer_rounds;
-  }
-
- private:
-  /// Nodes are folded into this many rendezvous lanes (node & mask); a
-  /// collision only means two nodes share a lane — the baton still names
-  /// one concrete node, so a wrong-lane lingerer simply fails its claim.
-  static constexpr std::size_t kNodeLanes = 16;
-
-  static void observe_spin() {
-    if (spin_observer.fn)
-      spin_observer.fn(spin_observer.arg);
-    else
-      cpu_relax();
-  }
-
-  /// The combiner loop proper, entered with the role held and `mine`
-  /// announcements accounted to us (1 for a fresh win; the transferred
-  /// backlog after claiming a baton).
-  template <class F>
-  void combine_loop(F&& process, int node, std::uint64_t mine) {
+    if (pending_.fetch_add(1, std::memory_order_acq_rel) != 0)
+      return;  // an active combiner's closing fetch_sub sees our add
+    std::uint64_t mine = 1;
     for (;;) {
       try {
         process();
@@ -191,113 +79,12 @@ class Combiner {
       // order: acq_rel — round close / role handoff (see run entry).
       mine = pending_.fetch_sub(mine, std::memory_order_acq_rel) - mine;
       if (mine == 0) return;
-      // Backlog remains. Preferred-owner handoff: if an announcer on our
-      // own node is lingering, pass it the role instead of processing
-      // another (possibly cross-package) round ourselves.
-      if (node >= 0 && offer_baton(node, mine)) return;
     }
   }
 
-  /// Losing-announcer side of the rendezvous: advertise on our node's
-  /// lane, watch the baton for a bounded number of rounds, claim it if it
-  /// is offered to our node. Returns the transferred backlog count (now
-  /// accounted to US as the new combiner), or 0 if no offer was claimed
-  /// and the caller should leave (the active combiner covers it).
-  std::uint64_t linger_for_baton(int node) {
-    std::atomic<std::uint32_t>& lane = waiting_[lane_of(node)];
-    // order: relaxed — advisory presence count; the baton word itself
-    // carries all ordering.
-    lane.fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t transferred = 0;
-    for (int round = 0; round < linger_rounds_; ++round) {
-      // order: relaxed — peek only; the claim CAS below re-reads with
-      // acquire and is the real synchronization point.
-      if (baton_.load(std::memory_order_relaxed) == node + 1) {
-        int expected = node + 1;
-        // order: acquire on success — pairs with offer_baton's release
-        // store, carrying handoff_mine_ and every queue write of the old
-        // combiner to us. relaxed on failure — we learned nothing.
-        if (baton_.compare_exchange_strong(
-                expected, 0,
-                std::memory_order_acquire,     // order: claim (see above)
-                std::memory_order_relaxed)) {  // order: failed (see above)
-          // order: relaxed — ordered by the successful acquire CAS above.
-          transferred = handoff_mine_.load(std::memory_order_relaxed);
-          // order: relaxed — advisory (see cross_node_hint).
-          combiner_node_.store(node, std::memory_order_relaxed);
-          handoffs_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        continue;  // another lingerer on our node claimed it
-      }
-      // order: relaxed — advisory early exit: 0 means the role is free
-      // (the combiner closed its last round, which also accounted for our
-      // announcement), so no offer can come — stop burning the budget.
-      if (pending_.load(std::memory_order_relaxed) == 0) break;
-      observe_spin();
-    }
-    // order: relaxed — advisory presence count (see above).
-    lane.fetch_sub(1, std::memory_order_relaxed);
-    return transferred;
-  }
-
-  /// Combiner side of the rendezvous: if someone is lingering on our
-  /// node's lane, publish the baton (role + accounted backlog `mine`) and
-  /// wait a bounded number of rounds for a claim. Returns true when the
-  /// role was transferred (caller must NOT touch the protected structure
-  /// again); false when the offer was retracted (caller still holds the
-  /// role). Only the role holder calls this, between processing rounds.
-  bool offer_baton(int node, std::uint64_t mine) {
-    // order: relaxed — advisory probe; a just-left lingerer only costs us
-    // a retracted offer, a just-arrived one is caught next round.
-    if (waiting_[lane_of(node)].load(std::memory_order_relaxed) == 0)
-      return false;
-    // order: relaxed — the baton's release store below publishes it.
-    handoff_mine_.store(mine, std::memory_order_relaxed);
-    // Plain store is safe: only the role holder writes an offer, and the
-    // word is 0 (no claimant may touch it) until this store.
-    // order: release — publishes handoff_mine_ and all our processing
-    // writes to the claimant's acquire CAS.
-    baton_.store(node + 1, std::memory_order_release);
-    for (int round = 0; round < offer_rounds_; ++round) {
-      // order: relaxed — a disappeared offer means a claim CAS succeeded;
-      // the claimant needs no data from us beyond the baton edge itself.
-      if (baton_.load(std::memory_order_relaxed) != node + 1) return true;
-      observe_spin();
-    }
-    int expected = node + 1;
-    // Retract. Exactly one of {this CAS, a claim CAS} succeeds on the
-    // offered value, so the role cannot be duplicated or lost: failure
-    // here IS a successful (concurrent) claim.
-    // order: acq_rel — on success we resume processing with the role we
-    // never actually gave away; acq_rel keeps the retraction ordered
-    // against a claimant's CAS on the same word. relaxed on failure.
-    return !baton_.compare_exchange_strong(
-        expected, 0,
-        std::memory_order_acq_rel,   // order: retract (see above)
-        std::memory_order_relaxed);  // order: failed = claimed (see above)
-  }
-
-  static std::size_t lane_of(int node) {
-    return static_cast<std::size_t>(node) & (kNodeLanes - 1);
-  }
-
+ private:
   /// Announced-but-unaccounted operations; 0 = no combiner active.
   std::atomic<std::uint64_t> pending_{0};
-  /// Handoff baton: 0 = none, node+1 = role offered to that node.
-  std::atomic<int> baton_{0};
-  /// Backlog count riding the baton (valid while baton_ holds an offer).
-  std::atomic<std::uint64_t> handoff_mine_{0};
-  /// Node of the current role holder (advisory, for cross_node stats).
-  std::atomic<int> combiner_node_{kAnyNode};
-  /// Lingering announcers per rendezvous lane (advisory occupancy).
-  std::atomic<std::uint32_t> waiting_[kNodeLanes] = {};
-
-  std::atomic<std::uint64_t> handoffs_{0};
-  std::atomic<std::uint64_t> cross_node_{0};
-
-  int linger_rounds_ = 64;
-  int offer_rounds_ = 128;
 };
 
 }  // namespace orwl::sync

@@ -15,8 +15,6 @@ std::string to_string(const WaitStrategy& ws) {
       return "spin";
     case WaitMode::SpinThenPark:
       return "spin_then_park(" + std::to_string(ws.spins) + ")";
-    case WaitMode::Auto:
-      return "spin_then_park(auto)";
   }
   return "unknown";
 }
@@ -29,8 +27,7 @@ WaitStrategy parse_wait_strategy(const std::string& text) {
   if (s == "block") return WaitStrategy::block();
   if (s == "spin") return WaitStrategy::spin();
   if (s == "spin_then_park") return WaitStrategy::spin_then_park();
-  if (s == "auto") return WaitStrategy::spin_then_park_auto();
-  // spin_then_park(N) / spin_then_park:N / spin_then_park(auto)
+  // spin_then_park(N) / spin_then_park:N
   const std::string prefix = "spin_then_park";
   if (s.rfind(prefix, 0) == 0 && s.size() > prefix.size()) {
     std::string arg = s.substr(prefix.size());
@@ -39,7 +36,6 @@ WaitStrategy parse_wait_strategy(const std::string& text) {
       arg = arg.substr(1, arg.size() - 2);
     else
       arg.clear();
-    if (arg == "auto") return WaitStrategy::spin_then_park_auto();
     if (!arg.empty() &&
         std::all_of(arg.begin(), arg.end(),
                     [](unsigned char c) { return std::isdigit(c); })) {
@@ -54,8 +50,7 @@ WaitStrategy parse_wait_strategy(const std::string& text) {
   ORWL_CHECK_MSG(false,
                  "unknown wait strategy '"
                      << text
-                     << "'; use block | spin | spin_then_park[(N)] | "
-                        "spin_then_park(auto)");
+                     << "'; use block | spin | spin_then_park[(N)]");
   return {};  // unreachable
 }
 

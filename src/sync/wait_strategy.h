@@ -33,14 +33,12 @@ enum class WaitMode : std::uint8_t {
   Block,         ///< park immediately (futex wait)
   SpinThenPark,  ///< bounded spin (relax, then yield), then park
   Spin,          ///< spin forever (relax bursts + periodic yields)
-  Auto,          ///< spin-then-park with a self-tuned spin budget
 };
 
 struct WaitStrategy {
   WaitMode mode = WaitMode::Block;
-  /// Spin rounds before parking (SpinThenPark, and the fallback for Auto
-  /// waiters nobody tunes). The first kRelaxRounds of them are pure
-  /// cpu-relax; the rest yield the CPU.
+  /// Spin rounds before parking (SpinThenPark only). The first
+  /// kRelaxRounds of them are pure cpu-relax; the rest yield the CPU.
   int spins = 256;
 
   /// Spin rounds burned as pure cpu-relax before the loop starts
@@ -59,26 +57,17 @@ struct WaitStrategy {
   [[nodiscard]] static constexpr WaitStrategy spin() {
     return {WaitMode::Spin, 0};
   }
-  /// Self-tuning spin-then-park: waiters with an AdaptiveWaitBudget
-  /// (sync/adaptive_wait.h) re-read their spin budget every wait; the
-  /// runtime re-derives budgets from the per-handle wait-round histograms
-  /// at epoch boundaries. Untuned parking points treat it as
-  /// spin_then_park(spins).
-  [[nodiscard]] static constexpr WaitStrategy spin_then_park_auto() {
-    return {WaitMode::Auto, 256};
-  }
 
   friend bool operator==(const WaitStrategy& a,
                          const WaitStrategy& b) = default;
 };
 
-/// "block", "spin_then_park(256)", "spin", "spin_then_park(auto)".
+/// "block", "spin_then_park(256)", "spin".
 std::string to_string(const WaitStrategy& ws);
 
 /// Parse "block" | "spin" | "spin_then_park" | "spin_then_park(N)" |
-/// "spin_then_park:N" | "spin_then_park(auto)" | "auto"
-/// (case-insensitive). Throws ContractError naming the accepted forms on
-/// anything else.
+/// "spin_then_park:N" (case-insensitive). Throws ContractError naming the
+/// accepted forms on anything else.
 WaitStrategy parse_wait_strategy(const std::string& text);
 
 }  // namespace orwl::sync

@@ -41,8 +41,7 @@ inline void cpu_relax() noexcept {
 
 /// How long a wait_while_equal call actually waited: spin rounds burnt and
 /// futex parks taken. Filled by the counted overload below; the numbers
-/// feed the per-handle wait-length histograms (obs/) that the self-tuning
-/// wait work consumes.
+/// feed the per-handle wait-length histograms (obs/).
 struct WaitLength {
   std::uint32_t rounds = 0;  ///< spin-loop iterations before the word flipped
   std::uint32_t parks = 0;   ///< futex parks (0 = the spin phase sufficed)
@@ -84,11 +83,6 @@ template <class T>
         }
         spin_round(round);
       }
-    case WaitMode::Auto:
-      // Tuned waiters (orwl::Handle) substitute their AdaptiveWaitBudget
-      // into ws.spins before calling; for everyone else Auto degrades to
-      // the static spin_then_park budget below.
-      [[fallthrough]];
     case WaitMode::SpinThenPark:
       for (int round = 0; round < ws.spins; ++round) {
         // order: acquire — same pairing as the first load above.

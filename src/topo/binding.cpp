@@ -4,31 +4,9 @@
 
 #ifdef __linux__
 #include <sched.h>
-#include <sys/syscall.h>
-#include <unistd.h>
 #endif
 
 namespace orwl::topo {
-
-namespace detail {
-
-thread_local int tl_node_cache = -1;
-thread_local int tl_node_override = kNodeNoOverride;
-
-int query_current_node() {
-#ifdef __linux__
-  // getcpu(2) reports the node directly — no cpu->node table needed, so
-  // this stays free of any dependency on the mem:: NUMA inventory (which
-  // layers ABOVE topo).
-  unsigned cpu = 0;
-  unsigned node = 0;
-  if (syscall(SYS_getcpu, &cpu, &node, nullptr) == 0)
-    return static_cast<int>(node);
-#endif
-  return 0;
-}
-
-}  // namespace detail
 
 #ifdef __linux__
 
@@ -49,11 +27,7 @@ bool fill_cpu_set(const Bitmap& cpuset, cpu_set_t& set) {
 bool bind_current_thread(const Bitmap& cpuset) {
   cpu_set_t set;
   if (!fill_cpu_set(cpuset, set)) return false;
-  if (sched_setaffinity(0, sizeof set, &set) != 0) return false;
-  // The kernel has already migrated us onto an allowed CPU; re-learn the
-  // node lazily so the combiner's locality hint tracks placement.
-  invalidate_current_node_id();
-  return true;
+  return sched_setaffinity(0, sizeof set, &set) == 0;
 }
 
 ThreadHandle current_thread_handle() { return pthread_self(); }

@@ -37,56 +37,6 @@ bool bind_thread(ThreadHandle thread, const Bitmap& cpuset);
 /// queried on this platform.
 std::optional<Bitmap> current_thread_binding();
 
-namespace detail {
-/// Thread-cached NUMA node state. The grant path calls current_node_id()
-/// on every combine, so the fast path must inline down to two
-/// thread_local loads — which is why these live in the header instead of
-/// behind a function call. -1 = not yet queried; kNodeNoOverride keeps 0
-/// a valid forced value for ScopedNodeId.
-inline constexpr int kNodeNoOverride = -2;
-extern thread_local int tl_node_cache;
-extern thread_local int tl_node_override;
-/// The getcpu(2) query (out of line; called once per thread/invalidate).
-int query_current_node();
-}  // namespace detail
-
-/// NUMA node of the CPU the calling thread runs on, cached per thread —
-/// cheap enough for the grant hot path (one thread_local read after the
-/// first call; the first call is one getcpu(2)). The cache is invalidated
-/// by bind_current_thread / ScopedBinding, so runtime threads re-learn
-/// their node when placement moves them. An unbound thread the OS migrates
-/// mid-run may report a stale node until its next rebind: staleness only
-/// degrades combiner-handoff locality, never correctness. Returns 0 when
-/// the platform cannot say (non-Linux, kernels without getcpu).
-inline int current_node_id() {
-  const int forced = detail::tl_node_override;
-  if (forced != detail::kNodeNoOverride) return forced;
-  const int cached = detail::tl_node_cache;
-  if (cached >= 0) return cached;
-  return detail::tl_node_cache = detail::query_current_node();
-}
-
-/// Drop the calling thread's cached node id; the next current_node_id()
-/// re-queries the OS. Called by bind_current_thread; exposed for code that
-/// changes affinity through other channels (bind_thread on self).
-inline void invalidate_current_node_id() { detail::tl_node_cache = -1; }
-
-/// Test seam: force current_node_id() on the calling thread while in
-/// scope — lets single-machine tests and the model checker fabricate
-/// multi-package worlds. Nests (restores the previous override).
-class ScopedNodeId {
- public:
-  explicit ScopedNodeId(int node) : previous_(detail::tl_node_override) {
-    detail::tl_node_override = node;
-  }
-  ~ScopedNodeId() { detail::tl_node_override = previous_; }
-  ScopedNodeId(const ScopedNodeId&) = delete;
-  ScopedNodeId& operator=(const ScopedNodeId&) = delete;
-
- private:
-  int previous_;
-};
-
 /// RAII: bind on construction, restore the previous mask on destruction.
 /// If binding fails, bound() reports false and destruction is a no-op.
 class ScopedBinding {

@@ -82,53 +82,5 @@ TEST(Binding, ScopedBindingFailedIsNoop) {
 }
 #endif
 
-// ---------------------------------------------------------------------------
-// current_node_id: cached NUMA node of the calling thread + the test seam
-// ---------------------------------------------------------------------------
-
-TEST(NodeId, ReportsANonNegativeNode) {
-  // Whatever the platform, the fallback contract is "0 when unknown" —
-  // never a negative surprise on the combiner's hot path.
-  EXPECT_GE(current_node_id(), 0);
-  // Cached: the second read must agree while the thread has not moved its
-  // affinity through our API.
-  EXPECT_EQ(current_node_id(), current_node_id());
-}
-
-TEST(NodeId, ScopedOverrideAppliesAndNests) {
-  const int real = current_node_id();
-  {
-    ScopedNodeId outer(7);
-    EXPECT_EQ(current_node_id(), 7);
-    {
-      ScopedNodeId inner(3);
-      EXPECT_EQ(current_node_id(), 3);
-    }
-    EXPECT_EQ(current_node_id(), 7) << "inner scope must restore the outer";
-  }
-  EXPECT_EQ(current_node_id(), real);
-}
-
-TEST(NodeId, OverrideIsPerThread) {
-  // An override value no real machine reaches, so the check cannot be
-  // confused by the worker's genuine node id.
-  ScopedNodeId here(123456);
-  int other = -1;
-  std::thread worker([&] { other = current_node_id(); });
-  worker.join();
-  EXPECT_EQ(current_node_id(), 123456);
-  EXPECT_GE(other, 0) << "another thread must not see this thread's override";
-  EXPECT_NE(other, 123456);
-}
-
-TEST(NodeId, InvalidateForcesRequery) {
-  const int before = current_node_id();
-  invalidate_current_node_id();
-  // The re-query may land on a different node (the OS can migrate us),
-  // but it must stay within the valid contract.
-  EXPECT_GE(current_node_id(), 0);
-  (void)before;
-}
-
 }  // namespace
 }  // namespace orwl::topo

@@ -11,14 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "model/protocol.h"
 #include "model/vthread.h"
 #include "sync/combiner.h"
-#include "topo/binding.h"
 
 namespace orwl::model {
 namespace {
@@ -97,109 +96,54 @@ TEST(ModelExhaustive, CrossedWritersTwoLocations) {
   EXPECT_GT(n, 1u);
 }
 
-TEST(ModelExhaustive, ReadersAcrossTwoPackages) {
-  // Fabricated 2-package world (TaskSpec::node + topo::ScopedNodeId): the
-  // queue's grant path runs with DISTINCT node ids flowing into the
-  // combiner's hierarchical plumbing, and concurrent readers make the
-  // batched shared-read announcement (grant_run -> default on_grant_batch
-  // loop) reachable. Every schedule must keep ticket order and single
-  // announcement — the sink's strictly-increasing-ticket check plus the
-  // exact grant count cover both, batched or not.
-  const std::vector<TaskSpec> tasks = {
-      {"r0", {Access{0, AccessMode::Read}}, 2, /*remote=*/false, /*node=*/0},
-      {"r1", {Access{0, AccessMode::Read}}, 2, /*remote=*/false, /*node=*/1},
-  };
-  std::uint64_t n = 0;
-  explore_exhaustively(tasks, 1, 1u << 20, &n);
-  EXPECT_GT(n, 1u);
-}
-
-TEST(ModelExhaustive, WriterAndReaderAcrossTwoPackages) {
-  // Same 2-package fabrication with mixed modes: exclusivity must hold
-  // when the announcing threads disagree about their node.
-  const std::vector<TaskSpec> tasks = {
-      {"w", {Access{0, AccessMode::Write}}, 2, /*remote=*/false, /*node=*/0},
-      {"r", {Access{0, AccessMode::Read}}, 2, /*remote=*/false, /*node=*/1},
-  };
-  std::uint64_t n = 0;
-  explore_exhaustively(tasks, 1, 1u << 20, &n);
-  EXPECT_GT(n, 1u);
-}
-
 // ---------------------------------------------------------------------------
-// Combiner handoff: bounded-exhaustive DFS over the rendezvous itself
+// Combiner: bounded-exhaustive DFS over the counter protocol itself
 // ---------------------------------------------------------------------------
 
-/// Spin hook: turns every rendezvous spin round (linger / offer loops)
-/// into an explicit schedule point of the calling vthread.
-void yield_observer(void* arg) { static_cast<ThreadCtx*>(arg)->yield(); }
-
-TEST(ModelExhaustive, CombinerHandoffTwoPackages) {
-  // The queue-level worlds cannot reach the combiner's handoff window: in
-  // a cooperative world a whole combine() pass runs inside ONE protocol
-  // step, so pending_ is always 0 when the next vthread announces. This
-  // world drives sync::Combiner DIRECTLY with a process function that
-  // yields mid-round (and spin loops that yield each round, via
-  // spin_observer), making "combiner active", "announcer lingering" and
-  // "baton offered" first-class schedulable states. DFS then exhausts a
-  // 2-package world: two announcers on node 0 (handoff candidates), one
-  // on node 1 (the cross-node loser path).
+TEST(ModelExhaustive, CombinerAbsorbsAnnouncementsMidRound) {
+  // The queue-level worlds cannot reach the combiner's contended window:
+  // in a cooperative world a whole combine() pass runs inside ONE protocol
+  // step, so no round is ever in progress when the next vthread announces.
+  // This world drives sync::Combiner DIRECTLY with a process function that
+  // yields mid-round, making "a round in progress" a schedulable state:
+  // an announcer's fetch_add can land while another thread holds the
+  // role, and its run() returns at once, leaving the work to the active
+  // round's closing fetch_sub.
   //
   // Invariants, every schedule:
   //   * mutual exclusion — process() never runs concurrently with itself
   //   * no lost work     — every announced unit is drained exactly once
-  //     (single announcement at the combiner level), even across a
-  //     baton transfer
-  //   * termination      — the bounded rendezvous never deadlocks
-  // And across the whole exploration: at least one schedule transfers the
-  // role (handoffs() > 0) — the window is genuinely covered, not skipped.
-  struct Party {
-    const char* name;
-    int node;
-  };
-  // One announcement per party: enough to reach the handoff (a node-0
-  // combiner mid-round, the other node-0 announcer lingering, the offer
-  // claimed) while keeping the DFS tree small enough to exhaust — every
-  // extra announcement multiplies the schedule count by orders of
-  // magnitude, and each schedule is a fresh 3-vthread Scheduler run.
-  const Party parties[] = {{"a0", 0}, {"b0", 0}, {"c1", 1}};
-  constexpr int kOpsPerParty = 1;
-
-  std::uint64_t total_handoffs = 0;
-  std::uint64_t total_cross_node = 0;
+  //   * termination      — every run() returns
+  // And across the whole exploration: some run() returned without calling
+  // process() (an announcement absorbed by an active round), and some
+  // combiner processed a second round for work announced mid-round — the
+  // window is genuinely covered, not skipped.
+  constexpr int kAnnouncers = 3;
+  std::uint64_t absorbed = 0;
+  std::uint64_t repeated = 0;
   DfsChooser dfs;
   do {
     sync::Combiner combiner;
-    // Tiny rendezvous budgets: each spin round is a schedule point, so
-    // the DFS tree's depth (and the explored-schedule count) stays small.
-    combiner.set_handoff_budgets(/*linger_rounds=*/2, /*offer_rounds=*/2);
     int announced = 0;   // work units published but not yet drained
     int processed = 0;   // work units drained by some process() round
     int in_process = 0;  // mutual-exclusion witness
 
     Scheduler sched;
-    for (const Party& p : parties) {
-      sched.spawn(p.name, [&, p](ThreadCtx& ctx) {
-        topo::ScopedNodeId node_scope(p.node);
-        // Per-thread (vthreads are real std::threads), so concurrent
-        // worlds cannot observe each other's hook.
-        sync::Combiner::spin_observer = {&yield_observer, &ctx};
-        for (int op = 0; op < kOpsPerParty; ++op) {
-          ++announced;  // the unit of work this announcement covers
-          combiner.run(
-              [&] {
-                if (++in_process != 1)
-                  throw std::logic_error(
-                      "combiner mutual exclusion violated");
-                ctx.yield();  // the handoff window: a round in progress
-                processed += announced;  // catch up completely
-                announced = 0;
-                --in_process;
-              },
-              p.node);
-          ctx.yield();
-        }
-        sync::Combiner::spin_observer = {nullptr, nullptr};
+    for (int a = 0; a < kAnnouncers; ++a) {
+      sched.spawn("a" + std::to_string(a), [&](ThreadCtx& ctx) {
+        ++announced;  // the unit of work this announcement covers
+        int rounds = 0;
+        combiner.run([&] {
+          ++rounds;
+          if (++in_process != 1)
+            throw std::logic_error("combiner mutual exclusion violated");
+          ctx.yield();  // a round in progress: others may announce now
+          processed += announced;  // catch up completely
+          announced = 0;
+          --in_process;
+        });
+        if (rounds == 0) ++absorbed;
+        if (rounds > 1) ++repeated;
       });
     }
 
@@ -208,23 +152,18 @@ TEST(ModelExhaustive, CombinerHandoffTwoPackages) {
     ASSERT_TRUE(sched.error().empty())
         << sched.error() << "\nschedule: " << format_trace(sched.trace());
     ASSERT_EQ(announced, 0)
-        << "work lost across a round/handoff\nschedule: "
+        << "announced work left undrained\nschedule: "
         << format_trace(sched.trace());
-    ASSERT_EQ(processed, static_cast<int>(std::size(parties)) * kOpsPerParty)
+    ASSERT_EQ(processed, kAnnouncers)
         << "schedule: " << format_trace(sched.trace());
-    total_handoffs += combiner.handoffs();
-    total_cross_node += combiner.cross_node();
-    ASSERT_LT(dfs.schedules(), std::uint64_t{1} << 22)
+    ASSERT_LT(dfs.schedules(), std::uint64_t{1} << 20)
         << "exhaustive exploration exceeded the schedule budget — "
            "shrink the configuration";
   } while (dfs.next_schedule());
 
   EXPECT_GT(dfs.schedules(), 1u);
-  // The exploration must actually land schedules in the window: some
-  // schedule transferred the baton, and some schedule absorbed a node-1
-  // announcement while a node-0 combiner held the role.
-  EXPECT_GT(total_handoffs, 0u);
-  EXPECT_GT(total_cross_node, 0u);
+  EXPECT_GT(absorbed, 0u);
+  EXPECT_GT(repeated, 0u);
 }
 
 /// Fixed seed corpus — failures name the seed, so a repro is one run.

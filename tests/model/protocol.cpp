@@ -3,8 +3,6 @@
 #include <deque>
 #include <stdexcept>
 
-#include "topo/binding.h"
-
 namespace orwl::model {
 
 namespace {
@@ -227,9 +225,6 @@ WorldResult run_world(const std::vector<TaskSpec>& tasks, int num_locations,
     const TaskSpec& spec = tasks[t];
     auto& hs = handles[t];
     sched.spawn(spec.name, [&world, &hs, spec](ThreadCtx& ctx) {
-      // The vthread is a real std::thread, so the per-thread node override
-      // scopes exactly to this task's protocol steps.
-      topo::ScopedNodeId node_scope(spec.node);
       for (int round = 0; round < spec.rounds; ++round) {
         for (auto& h : hs) {
           h->acquire(ctx);
@@ -366,7 +361,6 @@ WorldResult run_remote_world(const std::vector<TaskSpec>& tasks,
     if (spec.remote) {
       auto& hs = remote_handles[t];
       sched.spawn(spec.name, [&world, &hs, spec](ThreadCtx& ctx) {
-        topo::ScopedNodeId node_scope(spec.node);
         for (int round = 0; round < spec.rounds; ++round) {
           for (auto& h : hs) {
             h->acquire(ctx);
@@ -388,7 +382,6 @@ WorldResult run_remote_world(const std::vector<TaskSpec>& tasks,
     } else {
       auto& hs = local_handles[t];
       sched.spawn(spec.name, [&world, &hs, spec](ThreadCtx& ctx) {
-        topo::ScopedNodeId node_scope(spec.node);
         for (int round = 0; round < spec.rounds; ++round) {
           for (auto& h : hs) {
             h->acquire(ctx);

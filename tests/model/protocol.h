@@ -140,11 +140,6 @@ struct TaskSpec {
   /// handle operations cross the model ops ring and its grants come back
   /// over the model grant ring (run_world ignores the flag).
   bool remote = false;
-  /// Fabricated NUMA node for the task's vthread (installed with
-  /// topo::ScopedNodeId for the vthread's lifetime), so model worlds can
-  /// exercise the queue's node plumbing — including the combiner's
-  /// preferred-owner handoff paths — on a single-package machine.
-  int node = 0;
 };
 
 /// Outcome of one explored schedule.

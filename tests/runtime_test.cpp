@@ -10,8 +10,6 @@
 
 #include "orwl/runtime.h"
 #include "support/assert.h"
-#include "sync/adaptive_wait.h"
-#include "sync/wait_strategy.h"
 
 namespace orwl {
 namespace {
@@ -413,50 +411,6 @@ TEST(Runtime, InlineIdleDeliveryMatchesQueuedDelivery) {
     EXPECT_EQ(ia[static_cast<std::size_t>(i)], 2 * i);
     EXPECT_EQ(ib[static_cast<std::size_t>(i)], 2 * i + 1);
   }
-}
-
-TEST(Runtime, AutoWaitBudgetRetunedAtEpochBoundaries) {
-  // spin_then_park(auto): each handle gets an AdaptiveWaitBudget fed from
-  // its wait-rounds histogram at every epoch boundary, exported as the
-  // orwl.spin_budget gauge. Alternating writers always wait on each
-  // other, so every epoch window has samples and the retune must leave
-  // the budget inside [kMinSpins, kMaxSpins].
-  constexpr int kIters = 40;
-  RuntimeOptions opts;
-  opts.control = RuntimeOptions::ControlMode::Direct;
-  opts.wait = sync::WaitStrategy::spin_then_park_auto();
-  Runtime rt(opts);
-  const LocationId loc = rt.add_location(sizeof(long));
-  int boundaries = 0;
-  rt.set_epoch_hook(4, [&](int, int) { ++boundaries; });
-  auto body = [&](HandleId handle_id) {
-    return [&, handle_id](TaskContext& ctx) {
-      Handle& h = ctx.handle(handle_id);
-      for (int i = 0; i < kIters; ++i) {
-        // Same boundary rendezvous the backends emit: between iterations,
-        // every epoch_length rounds.
-        if (i > 0 && i % rt.epoch_length() == 0)
-          rt.epoch_arrive(ctx.id(), i);
-        auto bytes = h.acquire();
-        as_span<long>(bytes)[0] += 1;
-        h.release_and_renew();
-      }
-    };
-  };
-  const TaskId a = rt.add_task("a", body(0));
-  const TaskId b = rt.add_task("b", body(1));
-  rt.add_handle(a, loc, AccessMode::Write);
-  rt.add_handle(b, loc, AccessMode::Write);
-  rt.run();
-  EXPECT_GT(boundaries, 0);
-  for (const char* gauge : {"orwl.spin_budget/h0", "orwl.spin_budget/h1"}) {
-    const std::int64_t budget = rt.metrics().gauge(gauge).read();
-    EXPECT_GE(budget, sync::AdaptiveWaitBudget::kMinSpins) << gauge;
-    EXPECT_LE(budget, sync::AdaptiveWaitBudget::kMaxSpins) << gauge;
-  }
-  // The waits were recorded: the histograms driving the retune are live.
-  EXPECT_GT(rt.metrics().histogram("orwl.wait_rounds/h0").snapshot().count,
-            0u);
 }
 
 }  // namespace

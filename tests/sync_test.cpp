@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -17,8 +16,8 @@
 #include <map>
 #include <mutex>
 #include <new>
+#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #ifdef __linux__
@@ -33,7 +32,6 @@
 #include "sync/shared_futex.h"
 #include "support/assert.h"
 #include "support/rng.h"
-#include "sync/adaptive_wait.h"
 #include "sync/sharded_counter.h"
 #include "sync/wait_strategy.h"
 #include "sync/waiter.h"
@@ -64,87 +62,19 @@ TEST(WaitStrategy, ParseRoundTrip) {
   // std::out_of_range from stoi.
   EXPECT_THROW(sync::parse_wait_strategy("spin_then_park(99999999999999999)"),
                ContractError);
-}
-
-TEST(WaitStrategy, AutoParseRoundTrip) {
-  EXPECT_EQ(sync::parse_wait_strategy("spin_then_park(auto)"),
-            sync::WaitStrategy::spin_then_park_auto());
-  EXPECT_EQ(sync::parse_wait_strategy("auto"),
-            sync::WaitStrategy::spin_then_park_auto());
-  EXPECT_EQ(sync::to_string(sync::WaitStrategy::spin_then_park_auto()),
-            "spin_then_park(auto)");
-  EXPECT_EQ(sync::WaitStrategy::spin_then_park_auto().mode,
-            sync::WaitMode::Auto);
-  // Untuned Auto waiters fall back to the static default budget.
-  EXPECT_EQ(sync::WaitStrategy::spin_then_park_auto().spins,
-            sync::AdaptiveWaitBudget::kInitialSpins);
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveWaitBudget: the retune policy, one window shape per branch
-// ---------------------------------------------------------------------------
-
-namespace {
-// One epoch window in the obs::Histogram log2 convention: bucket 0 holds
-// exact zeros, bucket i >= 1 holds [2^(i-1), 2^i - 1].
-std::array<std::uint64_t, 20> window(
-    std::initializer_list<std::pair<int, std::uint64_t>> counts) {
-  std::array<std::uint64_t, 20> b{};
-  for (const auto& [bucket, n] : counts)
-    b[static_cast<std::size_t>(bucket)] = n;
-  return b;
-}
-}  // namespace
-
-TEST(AdaptiveWaitBudget, EmptyWindowKeepsBudget) {
-  sync::AdaptiveWaitBudget budget;
-  EXPECT_EQ(budget.spins(), sync::AdaptiveWaitBudget::kInitialSpins);
-  const auto w = window({});
-  EXPECT_EQ(budget.retune(w.data(), w.size()),
-            sync::AdaptiveWaitBudget::kInitialSpins);
-}
-
-TEST(AdaptiveWaitBudget, MedianPastBudgetHalvesTowardFloor) {
-  sync::AdaptiveWaitBudget budget;
-  // Every wait lands in [2048, 4095]: the median outlasts any budget the
-  // halving passes through, so the budget walks 256 -> 128 -> ... -> 16
-  // and pins at the floor (never fully gives up spinning).
-  const auto w = window({{12, 100}});
-  EXPECT_EQ(budget.retune(w.data(), w.size()), 128);
-  EXPECT_EQ(budget.retune(w.data(), w.size()), 64);
-  EXPECT_EQ(budget.retune(w.data(), w.size()), 32);
-  EXPECT_EQ(budget.retune(w.data(), w.size()), 16);
-  EXPECT_EQ(budget.retune(w.data(), w.size()),
-            sync::AdaptiveWaitBudget::kMinSpins);
-}
-
-TEST(AdaptiveWaitBudget, ShortWaitsSizeBudgetToTwiceP95) {
-  sync::AdaptiveWaitBudget budget;
-  // 90% of waits resolve within [8, 15], a 10% tail reaches [64, 127]:
-  // p50 = 15 < 256, p95 = 127, so the budget becomes 2 * 127 = 254 —
-  // the common case stays park-free without chasing the max.
-  const auto w = window({{4, 90}, {7, 10}});
-  EXPECT_EQ(budget.retune(w.data(), w.size()), 254);
-  EXPECT_EQ(budget.spins(), 254);
-}
-
-TEST(AdaptiveWaitBudget, GrowthClampsAtMaxSpins) {
-  sync::AdaptiveWaitBudget budget;
-  // Bimodal: mostly instant grants (bucket 0), a 40% tail in
-  // [4096, 8191]. p50 = 0 keeps the grow branch, but 2 * p95 = 16382
-  // must clamp to kMaxSpins.
-  const auto w = window({{0, 60}, {13, 40}});
-  EXPECT_EQ(budget.retune(w.data(), w.size()),
-            sync::AdaptiveWaitBudget::kMaxSpins);
-}
-
-TEST(AdaptiveWaitBudget, AllZeroWaitsClampAtMinSpins) {
-  sync::AdaptiveWaitBudget budget;
-  // Every grant was already there (bucket 0 only): 2 * p95 = 0 clamps up
-  // to the floor instead of disabling the spin phase entirely.
-  const auto w = window({{0, 50}});
-  EXPECT_EQ(budget.retune(w.data(), w.size()),
-            sync::AdaptiveWaitBudget::kMinSpins);
+  // "auto" is not a wait strategy in either spelling, and the error names
+  // only the accepted forms.
+  for (const char* removed : {"auto", "spin_then_park(auto)"}) {
+    try {
+      (void)sync::parse_wait_strategy(removed);
+      ADD_FAILURE() << "'" << removed << "' must not parse";
+    } catch (const ContractError& e) {
+      const std::string what = e.what();
+      const std::size_t use = what.find("; use ");
+      ASSERT_NE(use, std::string::npos) << what;
+      EXPECT_EQ(what.substr(use), "; use block | spin | spin_then_park[(N)]");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -220,14 +150,12 @@ INSTANTIATE_TEST_SUITE_P(
     Strategies, WaiterTest,
     ::testing::Values(sync::WaitStrategy::block(),
                       sync::WaitStrategy::spin_then_park(64),
-                      sync::WaitStrategy::spin(),
-                      sync::WaitStrategy::spin_then_park_auto()),
+                      sync::WaitStrategy::spin()),
     [](const auto& info) {
       switch (info.param.mode) {
         case sync::WaitMode::Block: return "Block";
         case sync::WaitMode::SpinThenPark: return "SpinThenPark";
         case sync::WaitMode::Spin: return "Spin";
-        case sync::WaitMode::Auto: return "Auto";
       }
       return "Unknown";
     });
@@ -258,74 +186,16 @@ TEST(ShardedCounter, ConcurrentIncrementsSumExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Combiner: preferred-owner (NUMA-aware) handoff
+// Combiner: the counter protocol under real-thread contention
 // ---------------------------------------------------------------------------
 
-TEST(Combiner, PreferredOwnerHandoffIsDeterministicallyReachable) {
-  // Choreographed two-thread handoff on real threads. B's spin_observer
-  // raises a flag from inside its linger loop, and A's process function
-  // holds the round open until it sees the flag — so when A closes the
-  // round, B is provably lingering on A's node and the baton offer MUST
-  // be claimed (both rendezvous budgets are effectively unbounded, so a
-  // loaded machine cannot time the offer out into a retraction).
+TEST(Combiner, StressKeepsExclusionAndLosesNoWork) {
+  // Four announcers race for the role at whatever interleavings the
+  // scheduler serves: some win and combine, most lose and leave after
+  // their single RMW, trusting the active round to absorb them. Whatever
+  // mix fires, process() stays mutually exclusive and every announced
+  // unit is drained exactly once.
   sync::Combiner combiner;
-  combiner.set_handoff_budgets(/*linger_rounds=*/1 << 30,
-                               /*offer_rounds=*/1 << 30);
-  std::atomic<bool> b_lingering{false};
-  std::atomic<int> in_process{0};
-  std::atomic<int> rounds_a{0};
-  std::atomic<int> rounds_b{0};
-  std::atomic<bool> violated{false};
-
-  std::thread a([&] {
-    combiner.run(
-        [&] {
-          if (in_process.fetch_add(1) != 0) violated = true;
-          rounds_a.fetch_add(1);
-          // Hold the round open until B is lingering for the baton.
-          while (!b_lingering.load()) std::this_thread::yield();
-          in_process.fetch_sub(1);
-        },
-        /*node=*/0);
-  });
-  std::thread b([&] {
-    // Wait for A to hold the combiner role, so our announcement loses.
-    while (in_process.load() == 0 && rounds_a.load() == 0)
-      std::this_thread::yield();
-    sync::Combiner::spin_observer = {
-        [](void* arg) {
-          static_cast<std::atomic<bool>*>(arg)->store(true);
-        },
-        &b_lingering};
-    combiner.run(
-        [&] {
-          if (in_process.fetch_add(1) != 0) violated = true;
-          rounds_b.fetch_add(1);
-          in_process.fetch_sub(1);
-        },
-        /*node=*/0);
-    sync::Combiner::spin_observer = {nullptr, nullptr};
-  });
-  a.join();
-  b.join();
-
-  EXPECT_FALSE(violated.load()) << "process() ran concurrently";
-  EXPECT_EQ(combiner.handoffs(), 1u)
-      << "the lingering same-node announcer must have claimed the baton";
-  EXPECT_EQ(rounds_a.load(), 1);
-  EXPECT_EQ(rounds_b.load(), 1)
-      << "the transferred backlog must be processed by the new owner";
-}
-
-TEST(Combiner, HandoffStressKeepsExclusionAndLosesNoWork) {
-  // Unchoreographed stress across two fabricated nodes: announcers race,
-  // linger, give up (the spurious-rendezvous case: a budget-exhausted
-  // lingerer leaves exactly as a spuriously woken waiter re-parks), claim
-  // batons and retract offers at whatever interleavings the scheduler
-  // serves. Whatever mix of paths fires, process() stays mutually
-  // exclusive and every announced unit is drained exactly once.
-  sync::Combiner combiner;
-  combiner.set_handoff_budgets(/*linger_rounds=*/64, /*offer_rounds=*/64);
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 20000;
   std::atomic<int> work{0};
@@ -335,17 +205,14 @@ TEST(Combiner, HandoffStressKeepsExclusionAndLosesNoWork) {
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      const int node = t % 2;
+    threads.emplace_back([&] {
       for (int op = 0; op < kOpsPerThread; ++op) {
         work.fetch_add(1);
-        combiner.run(
-            [&] {
-              if (in_process.fetch_add(1) != 0) violated = true;
-              processed.fetch_add(work.exchange(0));
-              in_process.fetch_sub(1);
-            },
-            node);
+        combiner.run([&] {
+          if (in_process.fetch_add(1) != 0) violated = true;
+          processed.fetch_add(work.exchange(0));
+          in_process.fetch_sub(1);
+        });
       }
     });
   for (auto& th : threads) th.join();

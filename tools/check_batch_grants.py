@@ -1,26 +1,18 @@
 #!/usr/bin/env python3
-"""Self-tuning wait-strategy + batched shared-read smoke check (gating).
+"""Batched shared-read grant smoke check (gating).
 
-Two promises, both asserted on cases measured in the SAME process run, so
-host speed cancels out and the tolerance only absorbs back-to-back
-scheduling noise:
+Batched shared-read grants (FifoQueue::on_grant_batch, on by default)
+exist to make reader fan-out cheaper: for each reader count, the batched
+`runtime_shared_reads/N` median must not exceed the
+`runtime_shared_reads/N/nobatch` median by more than the tolerance. Both
+cases are measured in the SAME process run, so host speed cancels out and
+the tolerance only absorbs back-to-back scheduling noise.
 
-* `spin_then_park(auto)` re-derives its per-handle spin budget from the
-  observed wait-round histograms (docs/architecture.md, "Self-tuning
-  waits"). Its whole value proposition is "never worse than just
-  blocking": for each grant-delivery mode, the auto case's median must
-  not exceed the block case's median by more than the tolerance.
-
-* Batched shared-read grants (FifoQueue::on_grant_batch, on by default)
-  exist to make reader fan-out cheaper: for each reader count, the
-  batched `runtime_shared_reads/N` median must not exceed the
-  `runtime_shared_reads/N/nobatch` median by more than the tolerance.
-
-  python3 tools/check_autowait.py --bench build/micro_orwl_overhead \\
+  python3 tools/check_batch_grants.py --bench build/micro_orwl_overhead \\
       [--baseline BENCH_micro_orwl_overhead.json] [--tolerance 0.10] \\
       [--reps 3] [--warmup 1]
 
-  python3 tools/check_autowait.py --fresh NEW.json
+  python3 tools/check_batch_grants.py --fresh NEW.json
       compare an already-written recording instead of running the bench.
 
 This check GATES CI, with the same host escape hatch as
@@ -43,13 +35,6 @@ import subprocess
 import sys
 import tempfile
 
-AUTO_PAIRS = [
-    ("runtime_alternation/direct",
-     "runtime_alternation/direct/spin_then_park(auto)"),
-    ("runtime_alternation/control-threads",
-     "runtime_alternation/control-threads/spin_then_park(auto)"),
-]
-
 BATCH_PAIRS = [
     (f"runtime_shared_reads/{n}/nobatch", f"runtime_shared_reads/{n}")
     for n in (2, 4, 8)
@@ -63,11 +48,11 @@ def load(path):
     return doc.get("context", {}), medians
 
 
-def check_pairs(pairs, medians, tolerance, what):
+def check_pairs(pairs, medians, tolerance):
     failed = False
     for base_name, case_name in pairs:
         if base_name not in medians or case_name not in medians:
-            print(f"check_autowait: missing case "
+            print(f"check_batch_grants: missing case "
                   f"{base_name!r} or {case_name!r}", file=sys.stderr)
             failed = True
             continue
@@ -79,8 +64,8 @@ def check_pairs(pairs, medians, tolerance, what):
               f"(ratio {ratio:.3f}, limit {1.0 + tolerance:.2f}) "
               f"{verdict}")
         if verdict != "OK":
-            print(f"check_autowait: {what} regressed past tolerance",
-                  file=sys.stderr)
+            print("check_batch_grants: batched shared-read grants "
+                  "regressed past tolerance", file=sys.stderr)
             failed = True
     return failed
 
@@ -101,27 +86,28 @@ def main():
     if bool(args.bench) == bool(args.fresh):
         ap.error("exactly one of --bench / --fresh is required")
 
-    # Host escape hatch (pattern from check_overhead.py): timing promises
-    # are only asserted on the host that made the recorded baseline. A
+    # Host escape hatch (pattern from check_overhead.py): the timing
+    # promise is only asserted on the host that made the recorded baseline. A
     # missing baseline means the recording host is UNKNOWN — treat it like
     # a mismatch (warn and pass) rather than gating an arbitrary runner.
     if not os.path.exists(args.baseline):
         print(f"baseline {args.baseline!r} not found; recording host "
-              f"unknown — timing promises not asserted — skipping")
+              f"unknown — timing promise not asserted — skipping")
         return 0
     base_ctx, _ = load(args.baseline)
     base_host = base_ctx.get("host_name", "")
     here = socket.gethostname()
     if base_host and here != base_host:
         print(f"host {here!r} differs from recorded baseline host "
-              f"{base_host!r}; timing promises not asserted — skipping")
+              f"{base_host!r}; timing promise not asserted — skipping")
         return 0
 
     if args.bench:
         with tempfile.TemporaryDirectory() as tmpdir:
             out = os.path.join(tmpdir, "fresh.json")
-            # "runtime" covers alternation (auto-wait pairs) and
-            # shared_reads incl. /nobatch (batch pairs) in one process.
+            # "runtime" covers shared_reads incl. /nobatch (both halves
+            # of every pair) in one process, after the alternation and
+            # contention cases have warmed it up.
             cmd = [args.bench, "--filter", "runtime",
                    "--reps", str(args.reps), "--warmup", str(args.warmup),
                    "--json", out]
@@ -131,14 +117,10 @@ def main():
     else:
         _, medians = load(args.fresh)
 
-    failed = check_pairs(AUTO_PAIRS, medians, args.tolerance,
-                         "spin_then_park(auto)")
-    failed |= check_pairs(BATCH_PAIRS, medians, args.tolerance,
-                          "batched shared-read grants")
-    if failed:
+    if check_pairs(BATCH_PAIRS, medians, args.tolerance):
         return 1
-    print("check_autowait OK: auto wait within tolerance of block; "
-          "batched shared reads within tolerance of unbatched")
+    print("check_batch_grants OK: batched shared reads within tolerance "
+          "of unbatched")
     return 0
 
 

@@ -53,10 +53,10 @@ std::string grouping_for(const orwl::topo::Topology& topo,
 
 /// The node inventory: memory sizes and distances are what numa_local /
 /// numa_interleave placement trades off, so make them inspectable. The
-/// package/L3 grouping next to each node shows the combiner-handoff
-/// locality domains (topo::current_node_id feeds sync::Combiner) at a
-/// glance — on most machines node == package, but multi-node packages
-/// (sub-NUMA clustering) and multi-package nodes both exist.
+/// package/L3 grouping next to each node shows how nodes map onto sockets
+/// and shared caches at a glance — on most machines node == package, but
+/// multi-node packages (sub-NUMA clustering) and multi-package nodes both
+/// exist.
 void print_numa(const orwl::mem::NumaInfo& numa,
                 const orwl::topo::Topology& topo) {
   if (!numa.available()) {
