@@ -218,6 +218,9 @@ Micro runtime_shared_reads(int readers, bool batch = true) {
             opts.control = RuntimeOptions::ControlMode::Direct;
             opts.record_flows = false;
             opts.batch_grants = batch;
+            // Pinned, not the runtime default: the recorded label (and
+            // every earlier recording of these cases) is block.
+            opts.wait = sync::WaitStrategy::block();
             Runtime rt(opts);
             const LocationId loc = rt.add_location(4096);
             const auto body = [rounds](Handle& h) {

@@ -54,9 +54,10 @@ struct CaseSpec {
   /// Check the result against the workload's sequential reference.
   bool verify = true;
   std::uint64_t seed = 42;
-  /// Wait strategy for runtime-backend execution (Program::wait_strategy):
-  /// block, spin, or spin_then_park. Unset = the runtime default (block).
-  /// Ignored by the sim backend.
+  /// Wait strategy (Program::wait_strategy): block, spin, or
+  /// spin_then_park. Unset = the runtime default (spin_then_park(256)) on
+  /// the runtime backend; the sim backend charges unset as block and any
+  /// explicit non-block strategy without the futex park/wake pair.
   std::optional<sync::WaitStrategy> wait;
   /// Location-memory policy (Program::memory_policy): heap (default),
   /// numa_local, or numa_interleave. Applied to both backends — the

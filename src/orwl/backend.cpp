@@ -280,9 +280,11 @@ DerivedLoad derive_load(const Program& program) {
   DerivedLoad out;
   sim::Workload& load = out.base;
   load.sync = sim::SyncModel::OrwlEvents;
-  // Programs that opted into a spinning wait strategy dodge the futex
-  // park/wake pair on every grant; tell the simulator so its per-grant
-  // charge matches what the runtime would pay (sim::Workload::spin_waits).
+  // Only a program that names a non-block strategy is charged grants
+  // without the futex park/wake pair (sim::Workload::spin_waits). An unset
+  // strategy is charged as block on purpose, although the runtime default
+  // spins first: the paper-calibrated LinkCost assumes a blocking grant,
+  // and predictions for programs without a strategy stay as recorded.
   if (program.wait_strategy())
     load.spin_waits = program.wait_strategy()->mode != sync::WaitMode::Block;
   load.threads.resize(tasks.size());

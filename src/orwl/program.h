@@ -385,11 +385,14 @@ class Program {
     place_matrix_ = std::move(measured);
   }
 
-  /// Wait-strategy knob for real execution (RuntimeBackend): how this
-  /// program's compute threads, control threads and epoch barrier wait —
-  /// block, spin, or spin-then-park (sync/wait_strategy.h). Unset leaves
-  /// the backend's RuntimeOptions default in force. SimBackend ignores it
-  /// (the analytic lock model does not distinguish parking disciplines).
+  /// Wait-strategy knob: how this program's compute threads, control
+  /// threads and epoch barrier wait — block, spin, or spin-then-park
+  /// (sync/wait_strategy.h). On RuntimeBackend, unset leaves the backend's
+  /// RuntimeOptions default in force (spin_then_park(256) unless the
+  /// backend was built with another). SimBackend charges an explicit
+  /// non-block strategy grants without the futex park/wake pair
+  /// (sim::Workload::spin_waits) and charges unset or block as the
+  /// blocking grant its calibrated cost model assumes.
   void wait_strategy(sync::WaitStrategy ws) { wait_ = ws; }
   [[nodiscard]] const std::optional<sync::WaitStrategy>& wait_strategy()
       const {

@@ -93,8 +93,11 @@ struct RuntimeOptions {
 
   /// How every parking point of this runtime waits (handle grant waits,
   /// control-thread event pops, the epoch barrier): block, spin, or
-  /// spin-then-park. See sync/wait_strategy.h.
-  sync::WaitStrategy wait{};
+  /// spin-then-park. See sync/wait_strategy.h. The default spins 256
+  /// rounds before parking, so a grant handed off within a few
+  /// microseconds is picked up without the futex park/wake pair that
+  /// `block` pays on every handoff.
+  sync::WaitStrategy wait = sync::WaitStrategy::spin_then_park();
 
   /// Where location pages live (mem/policy.h): the process heap (default)
   /// or NUMA-aware mmap segments that place_location_memory() binds to the

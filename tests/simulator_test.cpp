@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <string>
 
+#include "orwl/backend.h"
 #include "sim/calibration.h"
 #include "sim/lk23_model.h"
 #include "sim/simulator.h"
 #include "support/assert.h"
+#include "sync/wait_strategy.h"
+#include "workloads/workloads.h"
 
 namespace orwl::sim {
 namespace {
@@ -172,6 +176,25 @@ TEST(Simulate, SpinWaitsDiscountParkWakeLatency) {
   EXPECT_NEAR(rf.lock_seconds,
               1000 * (0.25 * cost.grant_overhead + cost.latency.back()),
               1e-12);
+}
+
+TEST(Simulate, SimBackendChargesAnUnsetWaitStrategyAsBlock) {
+  // Through SimBackend::run, only a program that names a non-block
+  // strategy gets the spin discount above. No strategy means the blocking
+  // grant the calibrated LinkCost assumes — not the runtime default — so
+  // predictions for programs without one stay bit-identical.
+  const auto predict = [](std::optional<sync::WaitStrategy> ws) {
+    Program p;
+    (void)workloads::get("pipeline").build(
+        p, {.tasks = 4, .size = 64, .iterations = 20});
+    p.place(place::Policy::TreeMatch);
+    if (ws) p.wait_strategy(*ws);
+    SimBackend backend(topo::Topology::flat(4));
+    return p.run(backend).seconds;
+  };
+  const double unset = predict(std::nullopt);
+  EXPECT_EQ(unset, predict(sync::WaitStrategy::block()));
+  EXPECT_LT(predict(sync::WaitStrategy::spin_then_park()), unset);
 }
 
 TEST(Simulate, BarrierCostOnlyForForkJoin) {

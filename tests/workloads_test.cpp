@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "orwl/backend.h"
 #include "support/assert.h"
+#include "sync/wait_strategy.h"
 #include "workloads/workloads.h"
 
 namespace orwl::workloads {
@@ -117,20 +119,80 @@ TEST(Workloads, MeasuredFlowsMatchPredictedSupport) {
   }
 }
 
+// Every parking point (grant waits, control-thread event pops, the epoch
+// barrier) under every wait strategy and every control mode, against the
+// same oracle: the data must verify, and the grant count must equal the
+// default run's — how a grant is delivered or waited for never changes
+// how many there are. Re-placing every epoch puts the epoch barrier on
+// the path.
+TEST(Workloads, EveryWaitStrategyAndControlModeMatchesTheDefaultRun) {
+  using Mode = RuntimeOptions::ControlMode;
+  const struct {
+    Mode mode;
+    const char* name;
+  } modes[] = {{Mode::Direct, "direct"},
+               {Mode::PerTask, "per-task"},
+               {Mode::SharedPool, "shared-pool"}};
+  const auto build = [](const Workload& w, Program& p) {
+    Built built = w.build(p, tiny());
+    p.place(place::Policy::TreeMatch);
+    p.replacement(place::ReplacementPolicy::every_epoch(1));
+    return built;
+  };
+  for (const Workload& w : registry()) {
+    std::uint64_t default_grants = 0;
+    {
+      Program p;
+      const Built built = build(w, p);
+      RuntimeBackend backend;
+      default_grants = p.run(backend).grants;
+      std::string why;
+      ASSERT_TRUE(built.verify(backend, why)) << w.name << ": " << why;
+      ASSERT_GT(default_grants, 0u) << w.name;
+    }
+    for (const sync::WaitStrategy ws :
+         {sync::WaitStrategy::block(), sync::WaitStrategy::spin_then_park(256),
+          sync::WaitStrategy::spin()}) {
+      for (const auto& m : modes) {
+        SCOPED_TRACE(w.name + " / " + sync::to_string(ws) + " / " + m.name);
+        Program p;
+        const Built built = build(w, p);
+        p.wait_strategy(ws);
+        RuntimeOptions opts;
+        opts.control = m.mode;
+        RuntimeBackend backend(opts);
+        const RunReport rep = p.run(backend);
+        std::string why;
+        EXPECT_TRUE(built.verify(backend, why)) << why;
+        EXPECT_EQ(rep.grants, default_grants);
+      }
+    }
+  }
+}
+
 // The oversubscription gate (ROADMAP stress tier): tasks far beyond the
 // PU count — on the 1-PU CI hosts this is 32 compute + 32 control
 // threads convoying on one core — must still verify bit-exactly, bound
-// or unbound.
-TEST(Workloads, OversubscriptionStressTasksFarBeyondPUs) {
+// or unbound. Run on the runtime default wait strategy and on `block`.
+void run_oversubscribed(std::optional<sync::WaitStrategy> ws) {
   Program p;
   const Built built = get("oversub").build(
       p, {.tasks = 32, .size = 8, .iterations = 4});
   p.place(place::Policy::Compact);  // wraps all 32 tasks onto the real PUs
+  if (ws) p.wait_strategy(*ws);
   RuntimeBackend backend;
   const RunReport rep = p.run(backend);
   EXPECT_TRUE(rep.placed);
   std::string why;
   EXPECT_TRUE(built.verify(backend, why)) << why;
+}
+
+TEST(Workloads, OversubscriptionStressTasksFarBeyondPUs) {
+  run_oversubscribed(std::nullopt);
+}
+
+TEST(Workloads, OversubscriptionStressTasksFarBeyondPUsBlocking) {
+  run_oversubscribed(sync::WaitStrategy::block());
 }
 
 TEST(Workloads, SingleTaskDegenerateCasesRun) {

@@ -52,7 +52,7 @@ int usage(const char* argv0, int code) {
      << "  --wait-strategy S   runtime-backend wait strategy: block | spin "
         "|\n"
      << "                  spin_then_park[(N)] (default: runtime default, "
-        "block)\n"
+        "spin_then_park(256))\n"
      << "  --memory-policy P   location memory: heap | numa_local | "
         "numa_interleave\n"
      << "                  (default heap); a non-heap policy runs each "
