@@ -16,9 +16,9 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "comm/patterns.h"
 #include "lk23/forkjoin_impl.h"
 #include "lk23/lk23_program.h"
-#include "sim/lk23_model.h"
 #include "support/table.h"
 
 namespace {
@@ -49,7 +49,7 @@ int main() {
 
   for (int tasks : {1, 2, 4, 6, 8, 12, 16, 24}) {
     if (tasks > 2 * host_pus) break;
-    const auto [bx, by] = sim::block_grid(tasks);
+    const auto [bx, by] = comm::block_grid(tasks);
     if (n % bx != 0 || n % by != 0) continue;
     lk23::Spec spec;
     spec.n = n;

@@ -1,9 +1,18 @@
 #include "comm/patterns.h"
 
+#include <cmath>
+
 #include "support/assert.h"
 #include "support/rng.h"
 
 namespace orwl::comm {
+
+std::pair<int, int> block_grid(int tasks) {
+  ORWL_CHECK_MSG(tasks >= 1, "need at least one task");
+  int by = static_cast<int>(std::sqrt(static_cast<double>(tasks)));
+  while (tasks % by != 0) --by;
+  return {tasks / by, by};
+}
 
 CommMatrix stencil_matrix(const StencilSpec& spec) {
   ORWL_CHECK_MSG(spec.blocks_x >= 1 && spec.blocks_y >= 1,

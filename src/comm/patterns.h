@@ -5,6 +5,7 @@
 // neighbours and corners with its 4 diagonal neighbours.
 
 #include <cstdint>
+#include <utility>
 
 #include "comm/comm_matrix.h"
 
@@ -20,6 +21,13 @@ struct StencilSpec {
   bool periodic = false;     ///< wrap-around neighbours
   bool corners = true;       ///< include diagonal (corner) exchanges
 };
+
+/// Near-square 2-D block grid for `tasks` blocks: {bx, by} with
+/// bx * by == tasks, bx >= by, and by the largest divisor of `tasks` not
+/// above sqrt(tasks). Every block decomposition in the repo (the LK23
+/// definition, the stencil-style workloads, the analytic Figure-1 model)
+/// factors its task count through this one function.
+std::pair<int, int> block_grid(int tasks);
 
 /// Thread-per-block stencil communication matrix (order = bx * by).
 /// Edge weight = edge length in elements * elem_bytes; corner weight =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "support/assert.h"
 
@@ -43,6 +44,65 @@ void sweep_block(const BlockView& b, const Halo& halo) {
       row[c] += kRelax * (qa - row[c]);
     }
   }
+}
+
+int opposite(int dir) {
+  switch (dir) {
+    case N: return S;
+    case S: return N;
+    case W: return E;
+    case E: return W;
+    case NW: return SE;
+    case NE: return SW;
+    case SW: return NE;
+    case SE: return NW;
+  }
+  ORWL_CHECK_MSG(false, "bad direction " << dir);
+  return -1;
+}
+
+std::pair<int, int> dir_delta(int dir) {
+  switch (dir) {
+    case N: return {0, -1};
+    case S: return {0, +1};
+    case W: return {-1, 0};
+    case E: return {+1, 0};
+    case NW: return {-1, -1};
+    case NE: return {+1, -1};
+    case SW: return {-1, +1};
+    case SE: return {+1, +1};
+  }
+  ORWL_CHECK_MSG(false, "bad direction " << dir);
+  return {0, 0};
+}
+
+long face_elems(const Spec& spec, int dir) {
+  const long brows = spec.n / spec.by;
+  const long bcols = spec.n / spec.bx;
+  if (dir == N || dir == S) return bcols;
+  if (dir == W || dir == E) return brows;
+  return 1;  // corners
+}
+
+void copy_face(const double* za, long rows, long cols, int dir, double* out) {
+  switch (dir) {
+    case N: std::memcpy(out, za, static_cast<std::size_t>(cols) * 8); return;
+    case S:
+      std::memcpy(out, za + (rows - 1) * cols,
+                  static_cast<std::size_t>(cols) * 8);
+      return;
+    case W:
+      for (long r = 0; r < rows; ++r) out[r] = za[r * cols];
+      return;
+    case E:
+      for (long r = 0; r < rows; ++r) out[r] = za[r * cols + cols - 1];
+      return;
+    case NW: out[0] = za[0]; return;
+    case NE: out[0] = za[cols - 1]; return;
+    case SW: out[0] = za[(rows - 1) * cols]; return;
+    case SE: out[0] = za[(rows - 1) * cols + cols - 1]; return;
+  }
+  ORWL_CHECK_MSG(false, "bad direction " << dir);
 }
 
 std::vector<double> blocked_reference(const Spec& spec) {

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace orwl::lk23 {
@@ -83,6 +84,25 @@ struct Spec {
   int iterations = 10;
   int bx = 1, by = 1;  ///< block grid (bx*by blocks); must divide n
 };
+
+/// The 8 frontier directions of the ORWL decomposition (paper Sec. III):
+/// every block exports one face per direction, an edge towards each axis
+/// neighbour and a corner towards each diagonal one.
+enum Dir : int { N = 0, S, W, E, NW, NE, SW, SE, kDirs };
+
+/// Opposite direction (N<->S, NW<->SE, ...).
+int opposite(int dir);
+
+/// Neighbour block delta for a direction: {dx, dy} with y growing south.
+std::pair<int, int> dir_delta(int dir);
+
+/// Number of doubles a block exports towards `dir` (edge length, or 1 for
+/// corners).
+long face_elems(const Spec& spec, int dir);
+
+/// Copy the face of a contiguous rows×cols block buffer towards `dir` into
+/// `out` (face_elems doubles).
+void copy_face(const double* za, long rows, long cols, int dir, double* out);
 
 /// Sequential *blocked* reference: same numerics as the parallel versions.
 /// Returns the final n×n za field (row major).

@@ -4,8 +4,7 @@
 #include <cstring>
 #include <numeric>
 
-#include "lk23/orwl_impl.h"  // Dir, opposite, dir_delta, face geometry
-#include "sim/lk23_model.h"  // block_grid
+#include "comm/patterns.h"  // block_grid
 #include "support/assert.h"
 
 namespace orwl::lk23 {
@@ -187,7 +186,7 @@ std::vector<double> fetch_field(Backend& backend, const ProgramDef& def) {
 Spec spec_for_tasks(long n, int iterations, int tasks) {
   Spec spec;
   spec.iterations = iterations;
-  const auto [bx, by] = sim::block_grid(tasks);
+  const auto [bx, by] = comm::block_grid(tasks);
   spec.bx = bx;
   spec.by = by;
   const long step = std::lcm(static_cast<long>(bx), static_cast<long>(by));

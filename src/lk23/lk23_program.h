@@ -6,16 +6,17 @@
 // plus eight frontier sub-operations exporting the block's faces, all
 // communicating through ordered-RW-lock locations.
 //
-// Handle priming uses explicit ranks to reproduce the canonical liveness
-// order of the hand-written runtime version bit for bit:
+// Handle priming uses explicit ranks to fix the canonical liveness order
+// (every location's writer is queued before its readers):
 //   rank 0 — every main's write on its block,
 //   rank 1 — every frontier op's read on its block,
 //   rank 2 — every frontier op's write on its frontier location,
 //   rank 3 — every main's reads on its neighbours' frontier locations.
 //
-// Running the definition on RuntimeBackend therefore produces exactly the
-// field of lk23::run_orwl (and of the blocked sequential reference);
-// running it on SimBackend reproduces the analytic Figure-1 model.
+// Running the definition on RuntimeBackend produces exactly the field of
+// the blocked sequential reference (lk23::blocked_reference) under every
+// placement policy and control mode; running it on SimBackend tracks the
+// analytic Figure-1 model (sim::simulate_lk23).
 
 #include <vector>
 
@@ -47,7 +48,7 @@ std::vector<double> fetch_field(Backend& backend, const ProgramDef& def);
 RunReport run_lk23_program(const Spec& spec, place::Policy policy,
                            Backend& backend, ProgramDef* def_out = nullptr);
 
-/// Spec for `tasks` blocks (near-square sim::block_grid factorization) at
+/// Spec for `tasks` blocks (near-square comm::block_grid factorization) at
 /// the matrix size nearest to `n` that the grid divides evenly — the real
 /// decomposition needs exact divisibility where the legacy analytic model
 /// silently truncated; both land within 0.1% of n.

@@ -20,17 +20,15 @@ std::uint64_t HistogramSnapshot::quantile(double q) const {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot out;
-  for (const Shard& s : shards_) {
-    for (int i = 0; i < HistogramSnapshot::kBuckets; ++i) {
-      // order: relaxed — exact after writers quiesced, lower bound
-      // concurrently (the ShardedCounter contract).
-      const std::uint64_t n = s.buckets[static_cast<std::size_t>(i)].load(
-          std::memory_order_relaxed);
-      out.buckets[static_cast<std::size_t>(i)] += n;
-      out.count += n;
-    }
-    out.sum += s.sum.load(std::memory_order_relaxed);
+  for (int i = 0; i < HistogramSnapshot::kBuckets; ++i) {
+    // order: relaxed — exact after writers quiesced, lower bound
+    // concurrently (the ShardedCounter contract).
+    const std::uint64_t n =
+        buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
+    out.buckets[static_cast<std::size_t>(i)] = n;
+    out.count += n;
   }
+  out.sum = sum_.load(std::memory_order_relaxed);
   return out;
 }
 

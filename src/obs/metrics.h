@@ -1,10 +1,12 @@
 #pragma once
 // Metrics registry: named counters, gauges, and log2-bucketed histograms.
 //
-// Writers follow the sync::ShardedCounter idiom — cache-line-padded shards,
-// one uncontended relaxed fetch_add per record — so instrumented hot paths
-// (grant announcement runs with a location queue lock held) stay cheap.
-// Reads sum the shards and are exact once the writers have quiesced; a
+// Counters follow the sync::ShardedCounter idiom — cache-line-padded
+// shards, one uncontended relaxed fetch_add per record — so instrumented
+// hot paths (grant announcement runs with a location queue lock held) stay
+// cheap. Histograms are per handle and recorded by that handle's task
+// thread alone, so they keep one unsharded bucket array. Every record is a
+// relaxed atomic: reads are exact once the writers have quiesced, and a
 // concurrent read is a consistent lower bound.
 //
 // Naming scheme (docs/observability.md): dot-separated, lower-case,
@@ -23,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "support/thread.h"
 #include "support/thread_annotations.h"
 #include "sync/mutex.h"
 #include "sync/sharded_counter.h"
@@ -86,37 +87,32 @@ struct HistogramSnapshot {
 };
 
 /// log2-bucketed histogram of non-negative integer samples (latencies in
-/// ns, wait-spin rounds, batch sizes). Shard count is lower than
-/// ShardedCounter's because histograms are per-handle and each shard is
-/// several cache lines.
-class Histogram {
+/// ns, wait-spin rounds, batch sizes). Unsharded: every runtime histogram
+/// has one writer (the owning handle's task thread, in Handle::acquire), so
+/// shards would only add memory to zero and sum. Cache-line aligned so the
+/// histograms of handles owned by different threads never share a line.
+/// Records stay relaxed atomics, so concurrent writers never lose a sample.
+class alignas(sync::kCacheLine) Histogram {
  public:
-  static constexpr int kShards = 4;  // power of two (mask indexing)
-
   Histogram() = default;
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
   void record(std::uint64_t v) noexcept {
-    auto& shard = shards_[static_cast<std::size_t>(current_thread_index()) &
-                          (kShards - 1)];
-    // order: relaxed — same contract as ShardedCounter: exact after the
-    // writers quiesce, lower bound concurrently.
-    shard.buckets[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
-    shard.sum.fetch_add(v, std::memory_order_relaxed);
+    // order: relaxed — exact after the writers quiesce, lower bound
+    // concurrently (the ShardedCounter contract).
+    buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
   }
 
-  /// Sum the shards (exact after writers quiesced). `name` is stamped by
+  /// Read the buckets (exact after writers quiesced). `name` is stamped by
   /// Registry::snapshot(); direct callers may leave it empty.
   [[nodiscard]] HistogramSnapshot snapshot() const;
 
  private:
-  struct alignas(sync::kCacheLine) Shard {
-    std::array<std::atomic<std::uint64_t>, HistogramSnapshot::kBuckets>
-        buckets{};
-    std::atomic<std::uint64_t> sum{0};
-  };
-  Shard shards_[kShards];
+  std::array<std::atomic<std::uint64_t>, HistogramSnapshot::kBuckets>
+      buckets_{};
+  std::atomic<std::uint64_t> sum_{0};
 };
 
 /// Everything a registry knew at one quiescent point, sorted by name.

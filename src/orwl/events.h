@@ -55,8 +55,9 @@ class EventQueue {
 
   /// Batched pop: block like pop(), then drain the ENTIRE backlog in one
   /// pass, appending it to `out` (one lock acquisition per wake instead of
-  /// one per event — the burst path of the control threads). Returns
-  /// false once stopped and drained, leaving `out` untouched.
+  /// one per event — the control threads' burst path when
+  /// RuntimeOptions::inline_idle_delivery is off). Returns false once
+  /// stopped and drained, leaving `out` untouched.
   bool pop_all(std::vector<Event>& out) ORWL_EXCLUDES(mu_);
 
   /// Wake all poppers; subsequent pops drain the backlog then return

@@ -331,7 +331,10 @@ void Runtime::route_grant(Request& req) {
   // control backlog means there is nothing to batch, so the hop through
   // the control thread would only add wake latency — deliver here. The
   // idle() probe is advisory; a stale answer is safe either way because
-  // delivery is a notify (idempotent, the waiter re-checks state).
+  // delivery is a notify (idempotent, the waiter re-checks state). Only
+  // the post below fills a backlog, so with the option on the queue stays
+  // empty and every grant takes the inline branch; the post runs only
+  // with the option off.
   switch (opts_.control) {
     case RuntimeOptions::ControlMode::Direct:
       Handle::deliver_grant(req);
@@ -410,7 +413,8 @@ void Runtime::route_grant_batch(std::span<Request* const> reqs) {
   // for the whole run — unless the queue is idle, in which case the
   // announcer delivers inline: every waiter needs its own notify no matter
   // who issues it, so the control-thread hop would only add latency (the
-  // same reasoning as route_grant's single-grant short-cut).
+  // same reasoning as route_grant's single-grant short-cut, and likewise
+  // always taken while inline_idle_delivery is on).
   thread_local std::vector<Event> events;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EventQueue& q = queue_of(reqs[i]);

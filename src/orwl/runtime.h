@@ -79,8 +79,12 @@ struct RuntimeOptions {
   /// switch, futex wake) that buys nothing when there is no backlog to
   /// batch. The lock-free grant path makes this safe: announcement holds
   /// no lock, so the woken thread's next queue operation cannot convoy
-  /// behind the announcer. Control threads still drain bursts. Ignored in
-  /// ControlMode::Direct (delivery is already inline).
+  /// behind the announcer. Grants are the only events ever posted and a
+  /// post needs an existing backlog, so with this on no backlog forms:
+  /// every grant is delivered inline, and the PerTask/SharedPool control
+  /// threads are spawned, bound and joined without receiving one. Off
+  /// routes every grant through them. Ignored in ControlMode::Direct
+  /// (delivery is already inline).
   bool inline_idle_delivery = true;
 
   /// Batched shared-read grants: a head run of >= 2 concurrent readers is

@@ -1,8 +1,7 @@
 #include "sim/lk23_model.h"
 
-#include <cmath>
-
 #include "comm/comm_matrix.h"
+#include "comm/patterns.h"
 #include "support/assert.h"
 #include "support/rng.h"
 
@@ -15,13 +14,6 @@ const char* to_string(Lk23Impl impl) {
     case Lk23Impl::OrwlBind: return "ORWL Bind";
   }
   return "?";
-}
-
-std::pair<int, int> block_grid(int tasks) {
-  ORWL_CHECK_MSG(tasks >= 1, "need at least one task");
-  int by = static_cast<int>(std::sqrt(static_cast<double>(tasks)));
-  while (tasks % by != 0) --by;
-  return {tasks / by, by};
 }
 
 namespace {
@@ -37,7 +29,7 @@ struct Geometry {
 
 Geometry make_geometry(const Lk23SimSpec& spec) {
   Geometry g{};
-  const auto [bx, by] = block_grid(spec.tasks);
+  const auto [bx, by] = comm::block_grid(spec.tasks);
   g.bx = bx;
   g.by = by;
   g.rows_per_block = spec.matrix_n / by;

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "sim/simulator.h"
 #include "treematch/treematch.h"
@@ -37,9 +36,6 @@ struct Lk23SimSpec {
   double bytes_per_point = 48.0;
   std::uint64_t seed = 7;
 };
-
-/// Near-square factorization bx*by == tasks with bx >= by.
-std::pair<int, int> block_grid(int tasks);
 
 /// A fully built model: workload + placement (+ the TreeMatch result for
 /// OrwlBind, for diagnostics).

@@ -19,7 +19,7 @@
 #include <sstream>
 #include <vector>
 
-#include "sim/lk23_model.h"  // block_grid
+#include "comm/patterns.h"  // block_grid
 #include "support/assert.h"
 #include "workloads/builders.h"
 
@@ -49,7 +49,7 @@ Built build_phaseshift(Program& p, const Params& params) {
   ORWL_CHECK_MSG(params.tasks >= 1 && params.size >= 1 &&
                      params.iterations >= 1,
                  "phaseshift needs tasks >= 1, size >= 1, iterations >= 1");
-  const auto [gx, gy] = sim::block_grid(params.tasks);
+  const auto [gx, gy] = comm::block_grid(params.tasks);
   const int B = gx * gy;
   const int T = params.iterations;
   const int H = (T + 1) / 2;  // first transpose round; T == 1 has no phase B

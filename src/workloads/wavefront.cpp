@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "comm/patterns.h"
-#include "sim/lk23_model.h"  // block_grid
 #include "support/assert.h"
 #include "workloads/builders.h"
 
@@ -47,7 +46,7 @@ struct Geometry {
 
 Geometry geometry(const Params& params) {
   Geometry g;
-  const auto [gx, gy] = sim::block_grid(params.tasks);
+  const auto [gx, gy] = comm::block_grid(params.tasks);
   g.gx = gx;
   g.gy = gy;
   g.bcols = std::max<long>(2, params.size / gx);

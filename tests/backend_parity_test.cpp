@@ -1,16 +1,15 @@
 // Backend parity: one Program definition, executed by RuntimeBackend and
 // by SimBackend (emulation mode), must produce identical data — and the
 // LK23 shared definition must reproduce both the blocked sequential
-// reference (native path) and the legacy analytic Figure-1 model (sim
-// path).
+// reference (native path) and the analytic Figure-1 model (sim path).
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "comm/patterns.h"
 #include "lk23/kernel.h"
 #include "lk23/lk23_program.h"
-#include "lk23/orwl_impl.h"
 #include "orwl/backend.h"
 #include "orwl/program.h"
 #include "sim/lk23_model.h"
@@ -104,16 +103,12 @@ TEST(BackendParity, Lk23ProgramMatchesBlockedReference) {
   EXPECT_EQ(def.num_tasks, 4 + 4 * 8);
 }
 
-TEST(BackendParity, Lk23ProgramMatchesLegacyOrwlRuntime) {
+TEST(BackendParity, Lk23ProgramMatchesRuntimeBuild) {
   lk23::Spec spec;
   spec.n = 48;
   spec.iterations = 3;
   spec.bx = 3;
   spec.by = 1;
-
-  const auto topo = topo::Topology::host();
-  const lk23::OrwlRunResult legacy =
-      lk23::run_orwl(spec, place::Policy::None, topo);
 
   RuntimeBackend be;
   lk23::ProgramDef def;
@@ -121,14 +116,15 @@ TEST(BackendParity, Lk23ProgramMatchesLegacyOrwlRuntime) {
       lk23::run_lk23_program(spec, place::Policy::None, be, &def);
   const std::vector<double> za = lk23::fetch_field(be, def);
 
-  EXPECT_EQ(lk23::max_abs_diff(za, legacy.za), 0.0);
-  EXPECT_EQ(def.num_tasks, legacy.num_tasks);
+  EXPECT_EQ(lk23::max_abs_diff(za, lk23::blocked_reference(spec)), 0.0);
+  // One main plus 8 frontier ops per block (paper Sec. III).
+  EXPECT_EQ(def.num_tasks, 3 + 3 * 8);
+  EXPECT_EQ(be.runtime().num_tasks(), def.num_tasks);
 
-  // Exactly one grant per acquisition — unlike the legacy bodies, which
-  // renew even on their final iteration and leave dangling granted
-  // requests behind (legacy.grants counts those too). Mains acquire their
-  // block every round (T+1) plus each halo read T times; each of the 8
-  // frontier ops per block acquires twice per round for T rounds.
+  // Exactly one grant per acquisition: Sections never renew past a task's
+  // last round, so no granted request is left dangling. Mains acquire
+  // their block every round (T+1) plus each halo read T times; each of the
+  // 8 frontier ops per block acquires twice per round for T rounds.
   const int B = spec.bx * spec.by;
   std::uint64_t expected = 0;
   for (int b = 0; b < B; ++b) {
@@ -146,17 +142,18 @@ TEST(BackendParity, Lk23ProgramMatchesLegacyOrwlRuntime) {
   expected += static_cast<std::uint64_t>(B) * 8u * 2u *
               static_cast<std::uint64_t>(spec.iterations);
   EXPECT_EQ(rep.grants, expected);
-  EXPECT_LE(rep.grants, legacy.grants);
 
-  // Identical static communication matrices: the declaration carries the
-  // same sharing structure the runtime derives from its handles.
+  // Identical static communication matrices (the program.h contract): the
+  // declaration carries the same sharing structure the runtime derives
+  // from the handles it was built with.
   Program p;
   lk23::define_lk23_program(p, spec);
   const comm::CommMatrix ours = p.static_comm_matrix();
-  ASSERT_EQ(ours.order(), legacy.static_matrix.order());
+  const comm::CommMatrix built = be.runtime().static_comm_matrix();
+  ASSERT_EQ(ours.order(), built.order());
   for (int i = 0; i < ours.order(); ++i)
     for (int j = 0; j < ours.order(); ++j)
-      EXPECT_EQ(ours.at(i, j), legacy.static_matrix.at(i, j));
+      EXPECT_EQ(ours.at(i, j), built.at(i, j));
 }
 
 TEST(BackendParity, Lk23SimTracksLegacyFigureOneModel) {
@@ -174,7 +171,7 @@ TEST(BackendParity, Lk23SimTracksLegacyFigureOneModel) {
   lk23::Spec spec;
   spec.n = sim_spec.matrix_n;
   spec.iterations = sim_spec.iterations;
-  const auto [bx, by] = sim::block_grid(sim_spec.tasks);
+  const auto [bx, by] = comm::block_grid(sim_spec.tasks);
   spec.bx = bx;
   spec.by = by;
 

@@ -1,13 +1,17 @@
-// End-to-end integration tests: the ORWL and fork-join LK23
-// implementations must reproduce the blocked reference bit-for-bit, under
+// End-to-end integration tests: the shared ORWL LK23 definition
+// (lk23::define_lk23_program on a RuntimeBackend) and the fork-join
+// implementation must reproduce the blocked reference bit-for-bit, under
 // every placement policy and control mode.
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "lk23/forkjoin_impl.h"
 #include "lk23/kernel.h"
-#include "lk23/orwl_impl.h"
-#include "sim/lk23_model.h"
+#include "lk23/lk23_program.h"
+#include "orwl/backend.h"
 
 namespace orwl::lk23 {
 namespace {
@@ -21,10 +25,29 @@ Spec small_spec() {
   return spec;
 }
 
+// One run of the shared definition on a RuntimeBackend planning against
+// `topo`: the final field plus the run's report.
+struct ProgramRun {
+  std::vector<double> za;
+  RunReport report;
+  int num_tasks = 0;
+};
+
+ProgramRun run_program(const Spec& spec, place::Policy policy,
+                       RuntimeOptions opts = {},
+                       topo::Topology topo = topo::Topology::host()) {
+  RuntimeBackend be(opts, std::move(topo));
+  ProgramDef def;
+  ProgramRun run;
+  run.report = run_lk23_program(spec, policy, be, &def);
+  run.za = fetch_field(be, def);
+  run.num_tasks = def.num_tasks;
+  return run;
+}
+
 TEST(OrwlLk23, MatchesBlockedReferenceBitwise) {
   const Spec spec = small_spec();
-  const auto topo = topo::Topology::host();
-  const OrwlRunResult res = run_orwl(spec, place::Policy::None, topo);
+  const ProgramRun res = run_program(spec, place::Policy::None);
   const auto ref = blocked_reference(spec);
   EXPECT_EQ(max_abs_diff(res.za, ref), 0.0);
   // 8 blocks, each with a main op; frontier op count depends on geometry.
@@ -37,8 +60,7 @@ TEST(OrwlLk23, SingleBlockDegenerateCase) {
   spec.iterations = 4;
   spec.bx = 1;
   spec.by = 1;
-  const auto topo = topo::Topology::host();
-  const OrwlRunResult res = run_orwl(spec, place::Policy::None, topo);
+  const ProgramRun res = run_program(spec, place::Policy::None);
   EXPECT_EQ(max_abs_diff(res.za, blocked_reference(spec)), 0.0);
   EXPECT_EQ(res.num_tasks, 9)
       << "1 main + 8 frontier ops even without neighbours (paper Sec. III)";
@@ -47,19 +69,17 @@ TEST(OrwlLk23, SingleBlockDegenerateCase) {
 TEST(OrwlLk23, ZeroIterations) {
   Spec spec = small_spec();
   spec.iterations = 0;
-  const auto topo = topo::Topology::host();
-  const OrwlRunResult res = run_orwl(spec, place::Policy::None, topo);
+  const ProgramRun res = run_program(spec, place::Policy::None);
   EXPECT_EQ(max_abs_diff(res.za, blocked_reference(spec)), 0.0);
 }
 
 TEST(OrwlLk23, AllPoliciesProduceIdenticalResults) {
   const Spec spec = small_spec();
-  const auto topo = topo::Topology::host();
   const auto ref = blocked_reference(spec);
   for (place::Policy policy :
        {place::Policy::None, place::Policy::Compact, place::Policy::Scatter,
         place::Policy::Random, place::Policy::TreeMatch}) {
-    const OrwlRunResult res = run_orwl(spec, policy, topo);
+    const ProgramRun res = run_program(spec, policy);
     EXPECT_EQ(max_abs_diff(res.za, ref), 0.0)
         << "policy " << place::to_string(policy)
         << " changed the numerics";
@@ -68,20 +88,18 @@ TEST(OrwlLk23, AllPoliciesProduceIdenticalResults) {
 
 TEST(OrwlLk23, DirectControlModeIdentical) {
   const Spec spec = small_spec();
-  const auto topo = topo::Topology::host();
   RuntimeOptions direct;
   direct.control = RuntimeOptions::ControlMode::Direct;
-  const OrwlRunResult res =
-      run_orwl(spec, place::Policy::TreeMatch, topo, direct);
+  const ProgramRun res = run_program(spec, place::Policy::TreeMatch, direct);
   EXPECT_EQ(max_abs_diff(res.za, blocked_reference(spec)), 0.0);
 }
 
 TEST(OrwlLk23, StaticMatrixMatchesStencilStructure) {
   const Spec spec = small_spec();
-  Runtime rt;
-  const OrwlProgram prog = build_orwl_program(rt, spec);
-  const comm::CommMatrix m = rt.static_comm_matrix();
-  EXPECT_EQ(m.order(), prog.num_tasks);
+  Program p;
+  const ProgramDef def = define_lk23_program(p, spec);
+  const comm::CommMatrix m = p.static_comm_matrix();
+  EXPECT_EQ(m.order(), def.num_tasks);
   // Every main op communicates with its own frontier ops (they read the
   // block) — mains are tasks 0..7; all their rows must be non-empty.
   for (int b = 0; b < 8; ++b) {
@@ -97,11 +115,10 @@ TEST(OrwlLk23, MeasuredFlowsReflectIterations) {
   spec.iterations = 3;
   spec.bx = 2;
   spec.by = 1;
-  const auto topo = topo::Topology::host();
-  const OrwlRunResult res = run_orwl(spec, place::Policy::None, topo);
+  const ProgramRun res = run_program(spec, place::Policy::None);
   // 2 blocks: mains (2) write T+1 times each; 2 frontier ops do 2 grants
   // per round.
-  EXPECT_GT(res.grants, 0u);
+  EXPECT_GT(res.report.grants, 0u);
   EXPECT_EQ(max_abs_diff(res.za, blocked_reference(spec)), 0.0);
 }
 
@@ -133,20 +150,17 @@ TEST(ForkJoinLk23, MoreThreadsThanBlocks) {
 
 TEST(OrwlVsForkJoin, IdenticalFields) {
   const Spec spec = small_spec();
-  const auto topo = topo::Topology::host();
-  const auto orwl_res = run_orwl(spec, place::Policy::TreeMatch, topo);
+  const ProgramRun orwl_res = run_program(spec, place::Policy::TreeMatch);
   const auto fj_res = run_forkjoin(spec, 4);
   EXPECT_EQ(max_abs_diff(orwl_res.za, fj_res.za), 0.0);
 }
 
 TEST(OrwlLk23, SharedPoolControlModeIdentical) {
   const Spec spec = small_spec();
-  const auto topo = topo::Topology::host();
   RuntimeOptions opts;
   opts.control = RuntimeOptions::ControlMode::SharedPool;
   opts.shared_control_threads = 3;
-  const OrwlRunResult res =
-      run_orwl(spec, place::Policy::TreeMatch, topo, opts);
+  const ProgramRun res = run_program(spec, place::Policy::TreeMatch, opts);
   EXPECT_EQ(max_abs_diff(res.za, blocked_reference(spec)), 0.0);
 }
 
@@ -155,8 +169,8 @@ TEST(OrwlLk23, ForeignTopologyBindingsFailGracefully) {
   // cpusets name CPUs that do not exist, bind_current_thread returns
   // false, and the program must still run to the correct result.
   const Spec spec = small_spec();
-  const auto paper = topo::Topology::paper_machine();
-  const OrwlRunResult res = run_orwl(spec, place::Policy::TreeMatch, paper);
+  const ProgramRun res = run_program(spec, place::Policy::TreeMatch, {},
+                                     topo::Topology::paper_machine());
   EXPECT_EQ(max_abs_diff(res.za, blocked_reference(spec)), 0.0);
 }
 
@@ -174,8 +188,7 @@ TEST_P(GeometrySweep, OrwlAndForkJoinMatchReference) {
   spec.by = by;
   spec.iterations = iters;
   const auto ref = blocked_reference(spec);
-  const auto topo = topo::Topology::host();
-  const auto orwl_res = run_orwl(spec, place::Policy::TreeMatch, topo);
+  const ProgramRun orwl_res = run_program(spec, place::Policy::TreeMatch);
   EXPECT_EQ(max_abs_diff(orwl_res.za, ref), 0.0) << "ORWL diverged";
   const auto fj = run_forkjoin(spec, 4);
   EXPECT_EQ(max_abs_diff(fj.za, ref), 0.0) << "fork-join diverged";

@@ -2,11 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "comm/patterns.h"
 #include "support/assert.h"
 
 namespace orwl::comm {
 namespace {
+
+TEST(BlockGrid, Factorizes) {
+  EXPECT_EQ(block_grid(192), (std::pair<int, int>{16, 12}));
+  EXPECT_EQ(block_grid(16), (std::pair<int, int>{4, 4}));
+  EXPECT_EQ(block_grid(7), (std::pair<int, int>{7, 1}));
+  EXPECT_EQ(block_grid(1), (std::pair<int, int>{1, 1}));
+}
+
+TEST(BlockGrid, NearSquareForEveryTaskCount) {
+  // The factorization spec_for_tasks, the block-grid workloads and the
+  // analytic Figure-1 model all share: by is the largest divisor of
+  // `tasks` not above sqrt(tasks), and bx the cofactor.
+  for (int tasks = 1; tasks <= 256; ++tasks) {
+    const auto [bx, by] = block_grid(tasks);
+    EXPECT_EQ(bx * by, tasks) << tasks;
+    EXPECT_GE(bx, by) << tasks;
+    int largest = 1;
+    for (int d = 1; d * d <= tasks; ++d)
+      if (tasks % d == 0) largest = d;
+    EXPECT_EQ(by, largest) << tasks;
+  }
+}
+
+TEST(BlockGrid, RejectsNoTasks) {
+  EXPECT_THROW(block_grid(0), ContractError);
+}
 
 TEST(Stencil, SingleBlockHasNoEdges) {
   StencilSpec s;

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <vector>
 
+#include "obs/trace.h"
 #include "orwl/runtime.h"
 #include "support/assert.h"
 
@@ -363,16 +364,24 @@ TEST(Runtime, ManyTasksManyLocationsRing) {
             static_cast<std::uint64_t>(kTasks * kRounds));
 }
 
-// Two writers alternating on one location through control threads; returns
-// the interleaving each task observed so deliveries routed inline (idle
-// backlog short-cut) and deliveries routed through the control thread can
-// be compared for semantic equality.
-std::pair<std::vector<long>, std::vector<long>> run_alternation(
-    RuntimeOptions opts, int iters) {
-  opts.control = RuntimeOptions::ControlMode::PerTask;
+// Two writers alternating on one location through control threads, run
+// with tracing on. Returns the interleaving each task observed, so
+// deliveries routed inline (idle backlog short-cut) and deliveries routed
+// through the control thread can be compared for semantic equality, plus
+// what the trace says about who delivered the grants.
+struct Alternation {
+  std::vector<long> seen_a, seen_b;
+  std::uint64_t grants = 0;        ///< the runtime's grant count
+  std::uint64_t grant_events = 0;  ///< Grant events in the trace
+  std::uint64_t pops = 0;          ///< EventPop events (control-thread wakes)
+  std::uint64_t popped = 0;        ///< sum of their batch sizes
+  std::uint64_t dropped = 0;       ///< trace events lost to ring overwrite
+};
+
+Alternation run_alternation(RuntimeOptions opts, int iters) {
   Runtime rt(opts);
   const LocationId loc = rt.add_location(sizeof(long));
-  std::vector<long> seen_a, seen_b;
+  Alternation out;
   auto body = [&](std::vector<long>& seen, HandleId handle_id) {
     return [&seen, handle_id, iters](TaskContext& ctx) {
       Handle& h = ctx.handle(handle_id);
@@ -385,31 +394,67 @@ std::pair<std::vector<long>, std::vector<long>> run_alternation(
       }
     };
   };
-  const TaskId a = rt.add_task("a", body(seen_a, 0));
-  const TaskId b = rt.add_task("b", body(seen_b, 1));
+  const TaskId a = rt.add_task("a", body(out.seen_a, 0));
+  const TaskId b = rt.add_task("b", body(out.seen_b, 1));
   rt.add_handle(a, loc, AccessMode::Write);
   rt.add_handle(b, loc, AccessMode::Write);
+
+  const bool was_tracing = obs::enable_tracing(true);
+  obs::reset();
   rt.run();
-  return {std::move(seen_a), std::move(seen_b)};
+  const obs::TraceData trace = obs::collect();
+  obs::reset();
+  obs::enable_tracing(was_tracing);
+
+  out.grants = rt.stats().read_grants() + rt.stats().write_grants();
+  out.dropped = trace.dropped;
+  for (const obs::TraceThread& t : trace.threads) {
+    for (const obs::TraceEvent& ev : t.events) {
+      if (ev.kind == obs::EventKind::Grant) ++out.grant_events;
+      if (ev.kind == obs::EventKind::EventPop) {
+        ++out.pops;
+        out.popped += ev.arg;
+      }
+    }
+  }
+  return out;
 }
 
 TEST(Runtime, InlineIdleDeliveryMatchesQueuedDelivery) {
   // The idle-backlog short-cut (deliver the grant inline instead of
   // hopping through the control thread) must be invisible to the
   // protocol: same strict alternation, same values, with the flag on
-  // (default) and off.
+  // (default) and off, under both control-thread modes. The trace pins
+  // who delivers: a post needs an existing backlog, so with the flag on
+  // no backlog ever forms and the control threads pop nothing; with it
+  // off they deliver every grant.
   constexpr int kIters = 200;
-  RuntimeOptions queued;
-  queued.inline_idle_delivery = false;
-  RuntimeOptions inline_idle;
-  inline_idle.inline_idle_delivery = true;
-  const auto [qa, qb] = run_alternation(queued, kIters);
-  const auto [ia, ib] = run_alternation(inline_idle, kIters);
-  EXPECT_EQ(qa, ia);
-  EXPECT_EQ(qb, ib);
-  for (int i = 0; i < kIters; ++i) {
-    EXPECT_EQ(ia[static_cast<std::size_t>(i)], 2 * i);
-    EXPECT_EQ(ib[static_cast<std::size_t>(i)], 2 * i + 1);
+  for (const auto mode : {RuntimeOptions::ControlMode::PerTask,
+                          RuntimeOptions::ControlMode::SharedPool}) {
+    SCOPED_TRACE(mode == RuntimeOptions::ControlMode::PerTask ? "PerTask"
+                                                              : "SharedPool");
+    RuntimeOptions defaults;
+    defaults.control = mode;
+    ASSERT_TRUE(defaults.inline_idle_delivery);
+    RuntimeOptions queued = defaults;
+    queued.inline_idle_delivery = false;
+    const Alternation q = run_alternation(queued, kIters);
+    const Alternation i = run_alternation(defaults, kIters);
+    EXPECT_EQ(q.seen_a, i.seen_a);
+    EXPECT_EQ(q.seen_b, i.seen_b);
+    for (int k = 0; k < kIters; ++k) {
+      EXPECT_EQ(i.seen_a[static_cast<std::size_t>(k)], 2 * k);
+      EXPECT_EQ(i.seen_b[static_cast<std::size_t>(k)], 2 * k + 1);
+    }
+
+    for (const Alternation* run : {&q, &i}) {
+      EXPECT_EQ(run->dropped, 0u);
+      EXPECT_GT(run->grants, 0u);
+      EXPECT_EQ(run->grant_events, run->grants);  // the trace saw the run
+    }
+    EXPECT_EQ(i.pops, 0u) << "a control thread delivered a grant by default";
+    EXPECT_GT(q.pops, 0u);
+    EXPECT_EQ(q.popped, q.grants);
   }
 }
 

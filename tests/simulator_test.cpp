@@ -270,13 +270,6 @@ TEST(Simulate, InputValidation) {
 
 // --- Figure 1 model sanity -------------------------------------------------
 
-TEST(Lk23Model, BlockGridFactorizes) {
-  EXPECT_EQ(block_grid(192), (std::pair<int, int>{16, 12}));
-  EXPECT_EQ(block_grid(16), (std::pair<int, int>{4, 4}));
-  EXPECT_EQ(block_grid(7), (std::pair<int, int>{7, 1}));
-  EXPECT_EQ(block_grid(1), (std::pair<int, int>{1, 1}));
-}
-
 TEST(Lk23Model, OrwlWorkloadShape) {
   const auto topo = topo::Topology::paper_machine();
   Lk23SimSpec spec;

@@ -34,6 +34,13 @@ include-hygiene  Headers open with `#pragma once` (first non-comment line);
                  module-rooted (e.g. "orwl/queue.h", never "queue.h"); a
                  module .cpp includes its own header first. Scope: src/.
 
+layering         No file under src/lk23/ or src/workloads/ includes a sim/
+                 header. Kernels and workloads are Program definitions:
+                 they reach the simulator only through orwl/backend.h
+                 (SimBackend), and geometry they share with the analytic
+                 models (comm::block_grid) lives in a layer below all
+                 three. Scope: src/.
+
 Usage
 -----
   tools/orwl_lint.py [--root DIR]    lint the repo (default: cwd); exit 1 on
@@ -244,6 +251,23 @@ def check_include_hygiene(rel: str, lines: List[str]) -> Iterable[Violation]:
                     f"\"{own}\" first")
 
 
+# Program-definition modules: they must not include sim/ headers.
+LAYERING_SCOPES = ("src/lk23/", "src/workloads/")
+
+
+def check_layering(rel: str, lines: List[str]) -> Iterable[Violation]:
+    if not rel.startswith(LAYERING_SCOPES):
+        return
+    for i, line in enumerate(lines):
+        m = INCLUDE.match(line)
+        if not m or m.group(2).split("/")[0] != "sim":
+            continue
+        yield Violation(
+            rel, i + 1, "layering",
+            f"'{m.group(2)}' included from a Program-definition module; "
+            "reach the simulator through orwl/backend.h")
+
+
 _current_root = "."
 
 RULES: List[Callable[[str, List[str]], Iterable[Violation]]] = [
@@ -252,6 +276,7 @@ RULES: List[Callable[[str, List[str]], Iterable[Violation]]] = [
     check_order_comment,
     check_rmw_allowlist,
     check_include_hygiene,
+    check_layering,
 ]
 
 # sink-contract also covers test code (the model checker implements sinks);
@@ -286,6 +311,7 @@ EXPECTED_FIXTURE_RULES = {
     "src/orwl/bad_order.cpp": {"order-comment"},
     "src/orwl/bad_rmw.cpp": {"rmw-allowlist"},
     "src/orwl/bad_include.h": {"include-hygiene"},
+    "src/workloads/bad_layering.cpp": {"layering"},
     "src/orwl/clean.h": set(),
 }
 
