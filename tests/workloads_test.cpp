@@ -195,6 +195,37 @@ TEST(Workloads, OversubscriptionStressTasksFarBeyondPUsBlocking) {
   run_oversubscribed(sync::WaitStrategy::block());
 }
 
+// stencil2d's sweep treats a block's first and last row and its two edge
+// columns apart from the interior, so every grid shape gets checked
+// bit-for-bit against the reference: 1x1 (all four global borders in one
+// block) through 3x3 (a block with halos on every side), and size 2 (every
+// point an edge; the interior column loop runs zero times).
+TEST(Workloads, Stencil2dMatchesReferenceOnEveryGeometry) {
+  const auto topo = topo::Topology::synthetic("pack:2 core:2 pu:1");
+  const auto check = [](const Params& params, Backend& backend,
+                        const char* name) {
+    Program p;
+    const Built built = get("stencil2d").build(p, params);
+    p.run(backend);
+    std::string why;
+    EXPECT_TRUE(built.verify(backend, why)) << name << ": " << why;
+  };
+  for (const int tasks : {1, 2, 3, 4, 6, 9})
+    for (const long size : {2, 5, 16, 33})
+      for (const int iterations : {0, 1, 3}) {
+        const Params params{
+            .tasks = tasks, .size = size, .iterations = iterations};
+        SCOPED_TRACE("tasks " + std::to_string(tasks) + ", size " +
+                     std::to_string(size) + ", iterations " +
+                     std::to_string(iterations));
+        RuntimeBackend runtime;
+        check(params, runtime, "runtime");
+        SimBackend emulating(topo.clone(), sim::LinkCost::defaults_for(topo),
+                             {.emulate = true});
+        check(params, emulating, "emulating sim");
+      }
+}
+
 TEST(Workloads, SingleTaskDegenerateCasesRun) {
   for (const char* name : {"alltoall", "pipeline", "oversub"}) {
     Program p;
