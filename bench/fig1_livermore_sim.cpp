@@ -5,9 +5,9 @@
 // The two ORWL columns run the ONE shared program definition
 // (lk23::define_lk23_program) on a SimBackend targeting the paper machine;
 // fig1_livermore_real runs the identical definition on a RuntimeBackend —
-// the comparison differs only in backend selection. The OpenMP column
-// keeps the legacy fork-join model (a different programming model, not an
-// ORWL program).
+// the comparison differs only in backend selection. The OpenMP column is
+// the fork-join model of sim/lk23_model.h (a different programming model,
+// not an ORWL program).
 //
 // The physical SMP is unavailable, so the run executes on the calibrated
 // NUMA cost model (src/sim). Expected shape (paper): ORWL Bind reaches
@@ -40,8 +40,7 @@ int main() {
     sim::Lk23SimSpec omp_spec;
     omp_spec.tasks = cores;
     const double omp =
-        sim::simulate_lk23(sim::Lk23Impl::OpenMP, topo, cost, omp_spec)
-            .total_seconds;
+        sim::simulate_openmp_lk23(topo, cost, omp_spec).total_seconds;
 
     const lk23::Spec spec =
         lk23::spec_for_tasks(omp_spec.matrix_n, omp_spec.iterations, cores);

@@ -13,19 +13,14 @@
 //
 // The shared-read cases run twice — batched (default runtime behavior,
 // historical unsuffixed names) and /nobatch (per-grant announcements) — so
-// the recording itself shows what batching buys, and --calibration PATH
-// writes the measured park/wake pair plus the batch-amortized announce
-// cost into a host-fingerprinted sim calibration record
-// (sim/calibration.h; activate with ORWL_CALIBRATION=PATH).
+// the recording itself shows what batching buys.
 //
 //   micro_orwl_overhead [--reps R] [--warmup W] [--json PATH]
-//                       [--filter SUBSTRING] [--calibration PATH]
+//                       [--filter SUBSTRING]
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -38,8 +33,6 @@
 #include "harness/stats.h"
 #include "obs/metrics.h"
 #include "orwl/runtime.h"
-#include "sim/calibration.h"
-#include "sim/cost_model.h"
 #include "support/table.h"
 #include "support/time.h"
 #include "sync/wait_strategy.h"
@@ -255,19 +248,17 @@ Micro runtime_shared_reads(int readers, bool batch = true) {
 
 int main(int argc, char** argv) {
   int reps = 5, warmup = 1;
-  std::string json_path, filter, calibration_path;
+  std::string json_path, filter;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--reps" && i + 1 < argc) reps = std::atoi(argv[++i]);
     else if (a == "--warmup" && i + 1 < argc) warmup = std::atoi(argv[++i]);
     else if (a == "--json" && i + 1 < argc) json_path = argv[++i];
     else if (a == "--filter" && i + 1 < argc) filter = argv[++i];
-    else if (a == "--calibration" && i + 1 < argc)
-      calibration_path = argv[++i];
     else {
       std::cerr << "usage: " << argv[0]
                 << " [--reps R] [--warmup W] [--json PATH]"
-                   " [--filter SUBSTRING] [--calibration PATH]\n";
+                   " [--filter SUBSTRING]\n";
       return 2;
     }
   }
@@ -292,8 +283,7 @@ int main(int argc, char** argv) {
   for (int n : {2, 4, 8}) micros.push_back(runtime_contention(n));
   for (int n : {2, 4, 8}) micros.push_back(runtime_shared_reads(n));
   // A/B: the same reader sweep with per-grant announcements, so every
-  // recording carries its own evidence of what batching buys (and the
-  // calibration record below can amortize the announce cost from it).
+  // recording carries its own evidence of what batching buys.
   for (int n : {2, 4, 8}) micros.push_back(runtime_shared_reads(n, false));
   // Park/wake calibration (block-vs-spin handoff delta; see
   // park_wake_handoff). Derived pair latency lands in the JSON context.
@@ -318,48 +308,6 @@ int main(int argc, char** argv) {
     rows.push_back({micro, stats});
   }
   table.print(std::cout);
-
-  if (!calibration_path.empty()) {
-    double block_med = 0.0, spin_med = 0.0, pw_items = 0.0;
-    double batch8 = 0.0, nobatch8 = 0.0, sr_items = 0.0;
-    for (const Row& row : rows) {
-      if (row.micro.name == "park_wake_calibration/block") {
-        block_med = row.stats.median;
-        pw_items = row.micro.items;
-      } else if (row.micro.name == "park_wake_calibration/spin") {
-        spin_med = row.stats.median;
-      } else if (row.micro.name == "runtime_shared_reads/8") {
-        batch8 = row.stats.median;
-        sr_items = row.micro.items;
-      } else if (row.micro.name == "runtime_shared_reads/8/nobatch") {
-        nobatch8 = row.stats.median;
-      }
-    }
-    sim::CalibrationRecord rec;
-    rec.host = sim::host_fingerprint();
-    if (pw_items > 0) {
-      const double delta = block_med - spin_med;
-      rec.park_wake_pair_seconds = delta > 0 ? delta / pw_items : 0.0;
-    }
-    // Batch-amortized announce cost: the per-grant saving the /8 A/B pair
-    // measured, taken off the model's per-grant overhead and floored at a
-    // quarter of it (announcement and queue work remain even in a batch).
-    if (sr_items > 0 && batch8 > 0 && nobatch8 > 0) {
-      const sim::LinkCost model_defaults;
-      const double saving = std::max(0.0, (nobatch8 - batch8) / sr_items);
-      rec.grant_batch_overhead_seconds =
-          std::max(model_defaults.grant_overhead - saving,
-                   0.25 * model_defaults.grant_overhead);
-    }
-    std::ofstream cal(calibration_path);
-    cal << sim::format_calibration(rec);
-    if (!cal) {
-      std::cerr << "cannot write calibration record " << calibration_path
-                << "\n";
-      return 1;
-    }
-    std::cout << "calibration record -> " << calibration_path << "\n";
-  }
 
   if (!json_path.empty()) {
     std::cout << '\n';

@@ -1,13 +1,20 @@
 // Table F (ablation): sensitivity of the simulated Figure 1 to the cost
-// model's free parameters. The calibration (DESIGN.md) fixes four knobs;
-// this sweep perturbs each by 2x in both directions and reports the
-// full-machine times and speedups. The claim being defended: the *ordering*
-// (Bind < NoBind < OpenMP at 192 cores) is a property of the topology-aware
-// placement, not of a lucky parameter choice.
+// model's free parameters (docs/architecture.md, "Simulated run"). This
+// sweep perturbs five LinkCost knobs by 2x in both directions and reports
+// the full-machine times and speedups. The claim being defended: ORWL Bind
+// beating both NoBind and OpenMP at 192 cores is a property of the
+// topology-aware placement, not of a lucky parameter choice. Exits 1 when
+// Bind loses under any perturbation (the model_sensitivity_check ctest).
+//
+// As in fig1_livermore_sim, the ORWL columns run the shared
+// lk23::define_lk23_program on a SimBackend, unplaced (NoBind) and
+// TreeMatch-placed (Bind); the OpenMP column is the fork-join model of
+// sim/lk23_model.h.
 
 #include <functional>
 #include <iostream>
 
+#include "lk23/lk23_program.h"
 #include "sim/lk23_model.h"
 #include "support/table.h"
 
@@ -24,7 +31,9 @@ struct Knob {
 
 int main() {
   const auto topo = topo::Topology::paper_machine();
-  sim::Lk23SimSpec spec;  // full paper configuration, 192 tasks
+  const sim::Lk23SimSpec omp_spec;  // full paper configuration, 192 tasks
+  const lk23::Spec spec = lk23::spec_for_tasks(
+      omp_spec.matrix_n, omp_spec.iterations, omp_spec.tasks);
 
   const Knob knobs[] = {
       {"domain_bandwidth",
@@ -53,14 +62,15 @@ int main() {
       sim::LinkCost cost = sim::LinkCost::defaults_for(topo);
       knob.scale(cost, f);
       const double omp =
-          sim::simulate_lk23(sim::Lk23Impl::OpenMP, topo, cost, spec)
-              .total_seconds;
+          sim::simulate_openmp_lk23(topo, cost, omp_spec).total_seconds;
+      SimBackend nobind_be(topo.clone(), cost);
       const double nobind =
-          sim::simulate_lk23(sim::Lk23Impl::OrwlNoBind, topo, cost, spec)
-              .total_seconds;
+          lk23::run_lk23_program(spec, place::Policy::None, nobind_be)
+              .seconds;
+      SimBackend bind_be(topo.clone(), cost);
       const double bind =
-          sim::simulate_lk23(sim::Lk23Impl::OrwlBind, topo, cost, spec)
-              .total_seconds;
+          lk23::run_lk23_program(spec, place::Policy::TreeMatch, bind_be)
+              .seconds;
       const bool wins = bind < nobind && bind < omp;
       bind_always_wins = bind_always_wins && wins;
       table.add_row({knob.name, fmt(f, 1), fmt(omp, 1), fmt(nobind, 1),

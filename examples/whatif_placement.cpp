@@ -6,7 +6,7 @@
 // hypothetical machine a SimBackend predicts it unplaced (ORWL NoBind) and
 // TreeMatch-placed (ORWL Bind). The identical definition runs for real in
 // stencil_heat / fig1_livermore_real — only the backend differs here. The
-// OpenMP column keeps the legacy fork-join model for comparison.
+// OpenMP column is the fork-join model of sim/lk23_model.h, for comparison.
 
 #include <iostream>
 
@@ -45,8 +45,7 @@ int main() {
       cores /= topo.arities().back();
     omp_spec.tasks = cores;
     const double omp =
-        sim::simulate_lk23(sim::Lk23Impl::OpenMP, topo, cost, omp_spec)
-            .total_seconds;
+        sim::simulate_openmp_lk23(topo, cost, omp_spec).total_seconds;
 
     const lk23::Spec spec =
         lk23::spec_for_tasks(omp_spec.matrix_n, omp_spec.iterations, cores);

@@ -15,8 +15,8 @@
 //
 // Running the definition on RuntimeBackend produces exactly the field of
 // the blocked sequential reference (lk23::blocked_reference) under every
-// placement policy and control mode; running it on SimBackend tracks the
-// analytic Figure-1 model (sim::simulate_lk23).
+// placement policy and control mode; running it on SimBackend predicts the
+// ORWL NoBind and Bind columns of the paper's Figure 1.
 
 #include <vector>
 
@@ -49,9 +49,9 @@ RunReport run_lk23_program(const Spec& spec, place::Policy policy,
                            Backend& backend, ProgramDef* def_out = nullptr);
 
 /// Spec for `tasks` blocks (near-square comm::block_grid factorization) at
-/// the matrix size nearest to `n` that the grid divides evenly — the real
-/// decomposition needs exact divisibility where the legacy analytic model
-/// silently truncated; both land within 0.1% of n.
+/// the matrix size nearest to `n` that the grid divides evenly — the
+/// decomposition needs exact divisibility; the result lands within 0.1% of
+/// n.
 Spec spec_for_tasks(long n, int iterations, int tasks);
 
 }  // namespace orwl::lk23

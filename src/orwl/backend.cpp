@@ -252,13 +252,6 @@ int window_overlap(const WindowedEdge& e, int r0, int r1) {
 struct AccessWindow {
   int from = 0;
   int until = 0;  ///< exclusive
-  LocationId location = -1;
-  /// Read access. Whether its grants arrive as members of a batched
-  /// shared-read run (FifoQueue::on_grant_batch) is decided per segment
-  /// from the OTHER reader windows actually overlapping there
-  /// (apply_segment_acquires) — a phase where this is the lone active
-  /// reader is granted, and charged, singly.
-  bool is_read = false;
 };
 
 struct DerivedLoad {
@@ -268,7 +261,6 @@ struct DerivedLoad {
   /// of per-segment acquire counts (lock-cost parity with the runtime,
   /// which only acquires phase-active handles).
   std::vector<std::vector<AccessWindow>> access_windows;
-  std::size_t num_locations = 0;
   /// Modelled grand total of lock acquisitions over the whole run.
   std::uint64_t total_grants = 0;
 };
@@ -296,47 +288,6 @@ DerivedLoad derive_load(const Program& program) {
     load.iterations = std::max(load.iterations, tasks[t].iterations);
   }
 
-  // Read windows per location (clipped to the run): a read access shares
-  // its grants with the run of concurrent readers only in rounds where at
-  // least one OTHER task's read window on the location is active — a
-  // lone active reader is granted (and charged) alone, even when the
-  // location has co-readers in other phases.
-  struct ReadWin {
-    int task;
-    int from;
-    int until;
-  };
-  std::vector<std::vector<ReadWin>> loc_readers(locs.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    for (const Program::AccessDecl& acc : tasks[t].accesses) {
-      if (acc.mode != AccessMode::Read) continue;
-      const int until = acc.until_round < 0
-                            ? load.iterations
-                            : std::min(acc.until_round, load.iterations);
-      if (until > acc.from_round)
-        loc_readers[static_cast<std::size_t>(acc.location)].push_back(
-            {static_cast<int>(t), acc.from_round, until});
-    }
-  }
-  // Rounds of [from, until) covered by the union of `spans` (the other
-  // tasks' read windows on the same location).
-  const auto shared_rounds = [](int from, int until,
-                                std::vector<std::pair<int, int>> spans) {
-    std::sort(spans.begin(), spans.end());
-    int covered = 0;
-    int cursor = from;
-    for (const auto& [f, u] : spans) {
-      const int lo = std::max(f, cursor);
-      const int hi = std::min(u, until);
-      if (hi > lo) {
-        covered += hi - lo;
-        cursor = hi;
-      }
-    }
-    return covered;
-  };
-
-  out.num_locations = locs.size();
   out.access_windows.resize(tasks.size());
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     for (const Program::AccessDecl& acc : tasks[t].accesses) {
@@ -344,8 +295,7 @@ DerivedLoad derive_load(const Program& program) {
                             ? load.iterations
                             : std::min(acc.until_round, load.iterations);
       if (until > acc.from_round)
-        out.access_windows[t].push_back({acc.from_round, until, acc.location,
-                                         acc.mode == AccessMode::Read});
+        out.access_windows[t].push_back({acc.from_round, until});
       // Grants clip to the owning task's iteration count (matching the
       // pre-window accounting for stationary programs).
       const int grant_until = std::min(
@@ -356,25 +306,12 @@ DerivedLoad derive_load(const Program& program) {
             static_cast<std::uint64_t>(grant_until - acc.from_round);
     }
     // The whole-run average acquire count per iteration (exact declared
-    // count for stationary programs). Batched rounds are those where a
-    // co-reader's window overlaps — the same per-round rule the segment
-    // accounting applies.
+    // count for stationary programs).
     double active = 0.0;
-    double batched_active = 0.0;
-    for (const AccessWindow& w : out.access_windows[t]) {
+    for (const AccessWindow& w : out.access_windows[t])
       active += w.until - w.from;
-      if (!w.is_read) continue;
-      std::vector<std::pair<int, int>> others;
-      for (const ReadWin& rw :
-           loc_readers[static_cast<std::size_t>(w.location)])
-        if (rw.task != static_cast<int>(t))
-          others.emplace_back(rw.from, rw.until);
-      batched_active += shared_rounds(w.from, w.until, std::move(others));
-    }
     load.threads[t].acquires = static_cast<int>(
         std::lround(active / load.iterations));
-    load.threads[t].batched_acquires = static_cast<int>(
-        std::lround(batched_active / load.iterations));
   }
 
   // Exchange edges: for every location, each (writer, reader) task pair
@@ -440,40 +377,14 @@ std::vector<sim::Edge> segment_edges(const DerivedLoad& load, int r0,
 }
 
 /// Per-thread acquire counts for a segment starting at r0. Segments never
-/// span an access-window boundary, so activity at r0 holds throughout —
-/// including the set of concurrently active readers, from which the
-/// batched-grant decision is made per segment (not per declaration): a
-/// segment where only one reader is active delivers its grants singly and
-/// is charged accordingly.
+/// span an access-window boundary, so activity at r0 holds throughout.
 void apply_segment_acquires(const DerivedLoad& load, int r0,
                             sim::Workload& seg) {
-  // Distinct tasks with a read window active at r0, per location.
-  std::vector<int> active_readers(load.num_locations, 0);
-  std::vector<char> counted(load.num_locations);
-  for (const std::vector<AccessWindow>& windows : load.access_windows) {
-    std::fill(counted.begin(), counted.end(), 0);
-    for (const AccessWindow& w : windows) {
-      if (!w.is_read || !(w.from <= r0 && r0 < w.until)) continue;
-      const auto li = static_cast<std::size_t>(w.location);
-      if (!counted[li]) {
-        counted[li] = 1;
-        ++active_readers[li];
-      }
-    }
-  }
   for (std::size_t t = 0; t < seg.threads.size(); ++t) {
     int active = 0;
-    int batched = 0;
-    for (const AccessWindow& w : load.access_windows[t]) {
-      if (w.from <= r0 && r0 < w.until) {
-        ++active;
-        if (w.is_read &&
-            active_readers[static_cast<std::size_t>(w.location)] >= 2)
-          ++batched;
-      }
-    }
+    for (const AccessWindow& w : load.access_windows[t])
+      if (w.from <= r0 && r0 < w.until) ++active;
     seg.threads[t].acquires = active;
-    seg.threads[t].batched_acquires = batched;
   }
 }
 

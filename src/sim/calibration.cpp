@@ -1,56 +1,10 @@
 #include "sim/calibration.h"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
 #ifdef __linux__
 #include <unistd.h>
 #endif
 
 namespace orwl::sim {
-
-std::optional<CalibrationRecord> load_calibration_file(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  CalibrationRecord rec;
-  bool saw_host = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
-    std::string key;
-    if (!(fields >> key)) continue;  // blank / comment-only line
-    if (key == "host") {
-      if (!(fields >> rec.host)) return std::nullopt;
-      saw_host = true;
-    } else if (key == "park_wake_pair_seconds") {
-      if (!(fields >> rec.park_wake_pair_seconds)) return std::nullopt;
-    } else if (key == "grant_batch_overhead_seconds") {
-      if (!(fields >> rec.grant_batch_overhead_seconds)) return std::nullopt;
-    }
-    // Unknown keys: ignored, so older binaries read newer records.
-  }
-  if (!saw_host) return std::nullopt;
-  if (rec.park_wake_pair_seconds < 0.0 ||
-      rec.grant_batch_overhead_seconds < 0.0)
-    return std::nullopt;
-  return rec;
-}
-
-std::string format_calibration(const CalibrationRecord& rec) {
-  std::ostringstream out;
-  out << "# orwl calibration record (sim/calibration.h); measured by\n"
-      << "# bench/micro_orwl_overhead --calibration on the host below.\n"
-      << "host " << rec.host << "\n";
-  out.precision(17);
-  out << "park_wake_pair_seconds " << rec.park_wake_pair_seconds << "\n"
-      << "grant_batch_overhead_seconds " << rec.grant_batch_overhead_seconds
-      << "\n";
-  return out.str();
-}
 
 std::string host_fingerprint() {
 #ifdef __linux__
@@ -59,22 +13,6 @@ std::string host_fingerprint() {
     return name;
 #endif
   return "unknown";
-}
-
-const CalibrationRecord* active_calibration() {
-  // Resolved once: the env var and the file are read on the first call and
-  // the decision is frozen for the process — simulations within one run
-  // must all see the same model.
-  static const std::optional<CalibrationRecord> active =
-      []() -> std::optional<CalibrationRecord> {
-    const char* path = std::getenv("ORWL_CALIBRATION");
-    if (path == nullptr || *path == '\0') return std::nullopt;
-    std::optional<CalibrationRecord> rec = load_calibration_file(path);
-    if (!rec) return std::nullopt;
-    if (rec->host != host_fingerprint()) return std::nullopt;
-    return rec;
-  }();
-  return active ? &*active : nullptr;
 }
 
 }  // namespace orwl::sim

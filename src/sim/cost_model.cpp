@@ -1,6 +1,5 @@
 #include "sim/cost_model.h"
 
-#include "sim/calibration.h"
 #include "support/assert.h"
 #include "support/cast.h"
 
@@ -17,8 +16,6 @@ void LinkCost::check(const topo::Topology& topo) const {
   for (double b : bandwidth) ORWL_CHECK_MSG(b > 0.0, "non-positive bandwidth");
   ORWL_CHECK(domain_bandwidth > 0.0 && compute_rate > 0.0);
   ORWL_CHECK_MSG(grant_overhead >= 0.0, "negative grant overhead");
-  ORWL_CHECK_MSG(grant_batch_overhead >= 0.0,
-                 "negative batch grant overhead");
   ORWL_CHECK_MSG(migration_cost >= 0.0, "negative migration cost");
   ORWL_CHECK_MSG(interleave_bandwidth > 0.0,
                  "non-positive interleave bandwidth");
@@ -44,19 +41,6 @@ LinkCost LinkCost::defaults_for(const topo::Topology& topo) {
     }
     c.latency[static_cast<std::size_t>(d)] = lat;
     c.bandwidth[static_cast<std::size_t>(d)] = bw;
-  }
-  // Measured host calibration, if the environment activates one for THIS
-  // host (sim/calibration.h). Without a record every default above stands
-  // untouched, so recorded simulation outputs remain bit-identical.
-  if (const CalibrationRecord* cal = active_calibration()) {
-    if (cal->park_wake_pair_seconds > 0.0) {
-      // The bench measures the blocking-vs-spinning handoff delta as one
-      // pair; the model needs halves, and nothing distinguishes them.
-      c.park_latency = cal->park_wake_pair_seconds / 2.0;
-      c.wake_latency = cal->park_wake_pair_seconds / 2.0;
-    }
-    if (cal->grant_batch_overhead_seconds > 0.0)
-      c.grant_batch_overhead = cal->grant_batch_overhead_seconds;
   }
   return c;
 }

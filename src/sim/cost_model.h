@@ -7,7 +7,7 @@
 //
 // This replaces the paper's physical 24-socket SMP (unavailable here); the
 // defaults are calibrated so the simulated Figure 1 lands near the paper's
-// headline numbers (ORWL Bind ~11 s at 192 cores; see EXPERIMENTS.md).
+// headline numbers (ORWL Bind ~11 s at 192 cores; see docs/architecture.md).
 
 #include <vector>
 
@@ -47,13 +47,6 @@ struct LinkCost {
 
   /// Cost of granting one lock request through a well-placed control path.
   double grant_overhead = 2e-6;
-  /// Per-grant cost of an acquisition announced as part of a batched
-  /// shared-read run (FifoQueue::on_grant_batch: one dispatch + one event
-  /// post amortized over the run). DEFAULTS EQUAL to grant_overhead, so
-  /// the simulator charges exactly the pre-batching arithmetic — recorded
-  /// results stay bit-identical — until a host calibration record
-  /// (sim/calibration.h, env ORWL_CALIBRATION) supplies a measured value.
-  double grant_batch_overhead = 2e-6;
   /// Extra per-grant cost when the control thread is unmanaged (OS-placed):
   /// wakeup migration and queueing delay.
   double unmanaged_grant_penalty = 20e-6;
@@ -88,11 +81,6 @@ struct LinkCost {
 
   /// Calibrated defaults for any topology: a latency/bandwidth ladder by
   /// distance-from-leaf (same PU, same core, same package, cross package).
-  /// When the environment activates a host calibration record
-  /// (ORWL_CALIBRATION, host fingerprint matching — see sim/calibration.h)
-  /// the measured park/wake pair replaces the baked 0.3/0.3 us split and a
-  /// measured batch announce cost replaces grant_batch_overhead; otherwise
-  /// the baked numbers stand unchanged.
   static LinkCost defaults_for(const topo::Topology& topo);
 };
 

@@ -194,15 +194,6 @@ Report simulate(const topo::Topology& topo, const LinkCost& cost,
           per_grant += cost.latency[static_cast<std::size_t>(dca)];
         }
         lock = th.acquires * per_grant;
-        // Batched shared-read announcements: re-charge the batched subset
-        // at the (calibrated) amortized cost. The guard keeps the
-        // arithmetic byte-for-byte identical to the pre-batching model
-        // whenever no calibration record distinguishes the two overheads.
-        if (th.batched_acquires > 0 &&
-            cost.grant_batch_overhead != cost.grant_overhead) {
-          const int batched = std::min(th.batched_acquires, th.acquires);
-          lock += batched * (cost.grant_batch_overhead - cost.grant_overhead);
-        }
       }
 
       pu_time[static_cast<std::size_t>(pu)] += compute + memory + lock;

@@ -32,12 +32,6 @@ struct SimThread {
   double flops = 0.0;        ///< useful work per iteration
   double mem_bytes = 0.0;    ///< working set streamed per iteration
   int acquires = 0;          ///< ORWL lock acquisitions per iteration
-  /// How many of `acquires` arrive as members of a batched shared-read
-  /// run (FifoQueue::on_grant_batch) — reads on locations with multiple
-  /// concurrent readers. Charged grant_batch_overhead instead of
-  /// grant_overhead, which only differs when a host calibration record is
-  /// active (LinkCost::grant_batch_overhead); 0 changes nothing.
-  int batched_acquires = 0;
 };
 
 /// A per-iteration pairwise exchange.

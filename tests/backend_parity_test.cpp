@@ -1,18 +1,17 @@
 // Backend parity: one Program definition, executed by RuntimeBackend and
 // by SimBackend (emulation mode), must produce identical data — and the
-// LK23 shared definition must reproduce both the blocked sequential
-// reference (native path) and the analytic Figure-1 model (sim path).
+// LK23 shared definition must reproduce the blocked sequential reference
+// (native path) and derive the paper's decomposition (sim path).
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "comm/patterns.h"
+#include "comm/comm_matrix.h"
 #include "lk23/kernel.h"
 #include "lk23/lk23_program.h"
 #include "orwl/backend.h"
 #include "orwl/program.h"
-#include "sim/lk23_model.h"
 
 namespace orwl {
 namespace {
@@ -156,41 +155,37 @@ TEST(BackendParity, Lk23ProgramMatchesRuntimeBuild) {
       EXPECT_EQ(ours.at(i, j), built.at(i, j));
 }
 
-TEST(BackendParity, Lk23SimTracksLegacyFigureOneModel) {
-  // The generic Program→workload derivation must land within a few percent
-  // of the hand-built Figure-1 model (the only systematic difference is
-  // the +1 initialization round the real program performs).
-  const auto topo = topo::Topology::paper_machine();
-  const sim::LinkCost cost = sim::LinkCost::defaults_for(topo);
-
-  sim::Lk23SimSpec sim_spec;
-  sim_spec.matrix_n = 1536;
-  sim_spec.iterations = 50;
-  sim_spec.tasks = 16;
-
+TEST(BackendParity, Lk23SimDerivesThePaperDecomposition) {
+  // The workload SimBackend derives from the shared definition is the
+  // paper's decomposition (Sec. III), exactly: per block one main op that
+  // writes its block and reads each existing 8-neighbour's frontier, plus
+  // eight frontier ops that each read the block and write one frontier.
   lk23::Spec spec;
-  spec.n = sim_spec.matrix_n;
-  spec.iterations = sim_spec.iterations;
-  const auto [bx, by] = comm::block_grid(sim_spec.tasks);
-  spec.bx = bx;
-  spec.by = by;
+  spec.n = 1536;
+  spec.iterations = 50;
+  spec.bx = 4;
+  spec.by = 4;
+  const int B = spec.bx * spec.by;
+  Program p;
+  lk23::define_lk23_program(p, spec);
+  const sim::Workload w =
+      SimBackend(topo::Topology::paper_machine()).workload(p);
 
-  for (const place::Policy policy :
-       {place::Policy::None, place::Policy::TreeMatch}) {
-    const auto legacy_impl = policy == place::Policy::None
-                                 ? sim::Lk23Impl::OrwlNoBind
-                                 : sim::Lk23Impl::OrwlBind;
-    const double legacy =
-        sim::simulate_lk23(legacy_impl, topo, cost, sim_spec).total_seconds;
-
-    SimBackend be(topo.clone(), cost);
-    const RunReport rep = lk23::run_lk23_program(spec, policy, be);
-    ASSERT_GT(legacy, 0.0);
-    const double expected_scale =
-        static_cast<double>(sim_spec.iterations + 1) / sim_spec.iterations;
-    EXPECT_NEAR(rep.seconds / legacy, expected_scale, 0.05)
-        << "policy " << place::to_string(policy);
+  ASSERT_EQ(w.threads.size(), static_cast<std::size_t>(9 * B));
+  // Rounds: the spec's sweeps plus the main ops' initialization round.
+  EXPECT_EQ(w.iterations, spec.iterations + 1);
+  for (int b = 0; b < B; ++b) {
+    const bool x_border = b % spec.bx == 0 || b % spec.bx == spec.bx - 1;
+    const bool y_border = b / spec.bx == 0 || b / spec.bx == spec.by - 1;
+    const int neighbours = x_border && y_border   ? 3   // corner
+                           : x_border || y_border ? 5   // edge
+                                                  : 8;  // interior
+    EXPECT_EQ(w.threads[static_cast<std::size_t>(b)].acquires, 1 + neighbours)
+        << "main op of block " << b;
   }
+  for (int f = B; f < 9 * B; ++f)
+    EXPECT_EQ(w.threads[static_cast<std::size_t>(f)].acquires, 2)
+        << "frontier op " << f - B;
 }
 
 }  // namespace

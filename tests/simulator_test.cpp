@@ -3,12 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <optional>
-#include <string>
 
+#include "lk23/lk23_program.h"
 #include "orwl/backend.h"
-#include "sim/calibration.h"
 #include "sim/lk23_model.h"
 #include "sim/simulator.h"
 #include "support/assert.h"
@@ -269,178 +267,65 @@ TEST(Simulate, InputValidation) {
 }
 
 // --- Figure 1 model sanity -------------------------------------------------
+// The ORWL columns of Figure 1 are the shared LK23 Program on SimBackend
+// (unplaced = NoBind, TreeMatch = Bind); OpenMP is the fork-join model.
 
 TEST(Lk23Model, OrwlWorkloadShape) {
-  const auto topo = topo::Topology::paper_machine();
-  Lk23SimSpec spec;
-  spec.tasks = 16;  // 4x4 grid
-  spec.matrix_n = 1024;
-  spec.iterations = 1;
-  const Lk23Model m = build_lk23_model(Lk23Impl::OrwlNoBind, topo, spec);
+  const lk23::Spec spec = lk23::spec_for_tasks(1024, 1, 16);  // 4x4 grid
+  Program p;
+  lk23::define_lk23_program(p, spec);
+  SimBackend be(topo::Topology::paper_machine());
+  const Workload w = be.workload(p);
   // Paper decomposition: every block has 1 main + exactly 8 frontier ops.
-  EXPECT_EQ(m.num_threads, 16 * 9);
-  EXPECT_EQ(m.load.sync, SyncModel::OrwlEvents);
+  EXPECT_EQ(w.threads.size(), 16u * 9u);
+  EXPECT_EQ(w.sync, SyncModel::OrwlEvents);
   // NoBind: everything unbound.
-  for (int pu : m.place.compute_pu) EXPECT_EQ(pu, -1);
+  const RunReport rep = lk23::run_lk23_program(spec, place::Policy::None, be);
+  ASSERT_EQ(rep.plan.compute_pu.size(), 16u * 9u);
+  for (int pu : rep.plan.compute_pu) EXPECT_EQ(pu, -1);
 }
 
 TEST(Lk23Model, BindMapsEveryThread) {
   const auto topo = topo::Topology::paper_machine();
-  Lk23SimSpec spec;
-  spec.tasks = 16;
-  spec.matrix_n = 1024;
-  spec.iterations = 1;
-  const Lk23Model m = build_lk23_model(Lk23Impl::OrwlBind, topo, spec);
-  for (int pu : m.place.compute_pu) {
+  SimBackend be(topo.clone());
+  const RunReport rep = lk23::run_lk23_program(
+      lk23::spec_for_tasks(1024, 1, 16), place::Policy::TreeMatch, be);
+  ASSERT_TRUE(rep.placed);
+  ASSERT_EQ(rep.plan.compute_pu.size(), 16u * 9u);
+  for (int pu : rep.plan.compute_pu) {
     EXPECT_GE(pu, 0);
     EXPECT_LT(pu, topo.num_pus());
   }
-  // Bound owners first-touch their data locally.
-  EXPECT_EQ(m.place.data_home_pu, m.place.compute_pu);
+}
+
+/// Predicted seconds of the LK23 Program at `tasks` blocks of the paper's
+/// 16384^2 matrix on the paper machine.
+double predict_lk23(place::Policy policy, int tasks, int iterations) {
+  SimBackend be(topo::Topology::paper_machine());
+  return lk23::run_lk23_program(
+             lk23::spec_for_tasks(16384, iterations, tasks), policy, be)
+      .seconds;
 }
 
 TEST(Lk23Model, Figure1OrderingAtFullMachine) {
   // The headline property: at 192 cores, Bind < NoBind < OpenMP.
   const auto topo = topo::Topology::paper_machine();
-  const LinkCost cost = LinkCost::defaults_for(topo);
-  Lk23SimSpec spec;  // full paper spec: 16384^2, 100 iterations, 192 tasks
+  Lk23SimSpec spec;  // full paper spec: 16384^2, 192 tasks
   spec.iterations = 10;  // 10 iterations are enough for the ordering
-  const double bind =
-      simulate_lk23(Lk23Impl::OrwlBind, topo, cost, spec).total_seconds;
-  const double nobind =
-      simulate_lk23(Lk23Impl::OrwlNoBind, topo, cost, spec).total_seconds;
+  const double bind = predict_lk23(place::Policy::TreeMatch, 192, 10);
+  const double nobind = predict_lk23(place::Policy::None, 192, 10);
   const double openmp =
-      simulate_lk23(Lk23Impl::OpenMP, topo, cost, spec).total_seconds;
+      simulate_openmp_lk23(topo, LinkCost::defaults_for(topo), spec)
+          .total_seconds;
   EXPECT_LT(bind, nobind);
   EXPECT_LT(nobind, openmp);
-}
-
-// ---------------------------------------------------------------------------
-// Calibration records (sim/calibration.h)
-// ---------------------------------------------------------------------------
-
-TEST(Calibration, FormatLoadRoundTrip) {
-  CalibrationRecord rec;
-  rec.host = "measured-host";
-  rec.park_wake_pair_seconds = 2.5e-7;
-  rec.grant_batch_overhead_seconds = 1.25e-6;
-  const std::string path = ::testing::TempDir() + "orwl_cal_roundtrip.txt";
-  {
-    std::ofstream out(path);
-    out << format_calibration(rec);
-  }
-  const auto back = load_calibration_file(path);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->host, rec.host);
-  EXPECT_DOUBLE_EQ(back->park_wake_pair_seconds, rec.park_wake_pair_seconds);
-  EXPECT_DOUBLE_EQ(back->grant_batch_overhead_seconds,
-                   rec.grant_batch_overhead_seconds);
-}
-
-TEST(Calibration, UnknownKeysAndCommentsIgnored) {
-  const std::string path = ::testing::TempDir() + "orwl_cal_forward.txt";
-  {
-    std::ofstream out(path);
-    out << "# a comment line\n"
-        << "host box42  # trailing comment\n"
-        << "\n"
-        << "some_future_key 123\n"
-        << "park_wake_pair_seconds 1e-7\n";
-  }
-  const auto rec = load_calibration_file(path);
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->host, "box42");
-  EXPECT_DOUBLE_EQ(rec->park_wake_pair_seconds, 1e-7);
-  EXPECT_DOUBLE_EQ(rec->grant_batch_overhead_seconds, 0.0)
-      << "unmeasured fields keep their no-effect defaults";
-}
-
-TEST(Calibration, RejectsBadRecords) {
-  // Missing file.
-  EXPECT_FALSE(load_calibration_file("/nonexistent/orwl_cal.txt"));
-  const std::string path = ::testing::TempDir() + "orwl_cal_bad.txt";
-  // No host fingerprint: the record cannot be matched to a machine.
-  {
-    std::ofstream out(path);
-    out << "park_wake_pair_seconds 1e-7\n";
-  }
-  EXPECT_FALSE(load_calibration_file(path));
-  // Negative measurement: corrupt.
-  {
-    std::ofstream out(path);
-    out << "host box\npark_wake_pair_seconds -1e-7\n";
-  }
-  EXPECT_FALSE(load_calibration_file(path));
-  // Unparsable value.
-  {
-    std::ofstream out(path);
-    out << "host box\ngrant_batch_overhead_seconds banana\n";
-  }
-  EXPECT_FALSE(load_calibration_file(path));
-}
-
-TEST(Calibration, DefaultsKeepBatchOverheadEqualToGrantOverhead) {
-  // The bit-identity contract: without an activated calibration record the
-  // batch overhead must EQUAL the grant overhead, so the batched-acquire
-  // branch in simulate() charges nothing extra (and recorded sim numbers
-  // never move). The ctest environment never sets ORWL_CALIBRATION.
-  const auto topo = topo::Topology::paper_machine();
-  const LinkCost cost = LinkCost::defaults_for(topo);
-  EXPECT_EQ(cost.grant_batch_overhead, cost.grant_overhead);
-}
-
-TEST(Simulate, BatchedAcquiresBitIdenticalWithoutCalibration) {
-  // batched_acquires is dormant while the two overheads are equal: the
-  // reports must be byte-for-byte identical, not just close.
-  const auto topo = topo::Topology::flat(2);
-  const LinkCost cost = LinkCost::defaults_for(topo);
-  Workload plain = one_thread(1e6, 1e6);
-  plain.threads[0].acquires = 8;
-  Workload batched = plain;
-  batched.threads[0].batched_acquires = 6;
-  const Placement p = fixed_at({0});
-  const Report a = simulate(topo, cost, plain, p);
-  const Report b = simulate(topo, cost, batched, p);
-  EXPECT_EQ(a.total_seconds, b.total_seconds);
-  EXPECT_EQ(a.lock_seconds, b.lock_seconds);
-}
-
-TEST(Simulate, BatchDiscountAppliesWhenOverheadsDiffer) {
-  // With a (calibrated) cheaper batch overhead, batched acquisitions cost
-  // less — and the batched count is clamped to the acquire count.
-  const auto topo = topo::Topology::flat(2);
-  LinkCost cost = LinkCost::defaults_for(topo);
-  cost.grant_batch_overhead = cost.grant_overhead / 2.0;
-  Workload plain = one_thread(0.0, 0.0);
-  plain.threads[0].acquires = 8;
-  Workload batched = plain;
-  batched.threads[0].batched_acquires = 6;
-  Workload clamped = plain;
-  clamped.threads[0].batched_acquires = 100;  // > acquires: clamp to 8
-  const Placement p = fixed_at({0});
-  const double lock_plain = simulate(topo, cost, plain, p).lock_seconds;
-  const double lock_batched = simulate(topo, cost, batched, p).lock_seconds;
-  const double lock_clamped = simulate(topo, cost, clamped, p).lock_seconds;
-  EXPECT_LT(lock_batched, lock_plain);
-  EXPECT_NEAR(lock_plain - lock_batched,
-              6 * (cost.grant_overhead - cost.grant_batch_overhead), 1e-15);
-  EXPECT_NEAR(lock_plain - lock_clamped,
-              8 * (cost.grant_overhead - cost.grant_batch_overhead), 1e-15);
 }
 
 TEST(Lk23Model, BindScalesBeyondTwoSockets) {
   // "As soon as we scale beyond one or two sockets, standard approaches
   // fail to improve" — Bind must keep improving from 16 to 64 cores.
-  const auto topo = topo::Topology::paper_machine();
-  const LinkCost cost = LinkCost::defaults_for(topo);
-  Lk23SimSpec spec;
-  spec.iterations = 5;
-  spec.tasks = 16;
-  const double t16 =
-      simulate_lk23(Lk23Impl::OrwlBind, topo, cost, spec).total_seconds;
-  spec.tasks = 64;
-  const double t64 =
-      simulate_lk23(Lk23Impl::OrwlBind, topo, cost, spec).total_seconds;
+  const double t16 = predict_lk23(place::Policy::TreeMatch, 16, 5);
+  const double t64 = predict_lk23(place::Policy::TreeMatch, 64, 5);
   EXPECT_LT(t64, t16 / 2.0);
 }
 

@@ -11,7 +11,10 @@ Checks, stdlib only:
   2. the first ```cpp fenced block in README.md equals (after dedent) the
      region between the `// [quickstart-begin]` / `// [quickstart-end]`
      markers of examples/quickstart.cpp — the file the build compiles — so
-     the README quickstart snippet cannot silently stop compiling.
+     the README quickstart snippet cannot silently stop compiling;
+  3. every `*.md` path named in a .cpp, .h or .py file under src/, bench/,
+     examples/, tools/ or tests/ resolves from the repository root, so
+     code comments cannot cite a document that does not exist.
 
 Exit status 0 when clean; 1 with a per-finding report otherwise.
 """
@@ -22,6 +25,10 @@ import sys
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_CPP_RE = re.compile(r"```cpp\n(.*?)```", re.DOTALL)
+# A relative markdown path; the look-behind skips URLs and path tails.
+MD_CITE_RE = re.compile(r"(?<![\w./:-])((?:[\w.-]+/)*[\w.-]+\.md)\b")
+CODE_DIRS = ("src", "bench", "examples", "tools", "tests")
+CODE_EXTS = (".cpp", ".h", ".py")
 
 
 def markdown_files():
@@ -92,6 +99,22 @@ def check_quickstart_parity(errors):
                               f"{want!r}")
 
 
+def check_code_citations(errors):
+    for top in CODE_DIRS:
+        for dirpath, dirnames, filenames in os.walk(top):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if not name.endswith(CODE_EXTS):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as f:
+                    for n, line in enumerate(f, 1):
+                        for cited in MD_CITE_RE.findall(line):
+                            if not os.path.exists(cited):
+                                errors.append(
+                                    f"{path}:{n}: cites missing {cited}")
+
+
 def main():
     if not os.path.exists("README.md"):
         print("run from the repository root (README.md not found)",
@@ -100,13 +123,14 @@ def main():
     errors = []
     check_links(errors)
     check_quickstart_parity(errors)
+    check_code_citations(errors)
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
         return 1
     n_files = len(markdown_files())
     print(f"docs check OK: {n_files} markdown files, links resolve, "
-          "quickstart snippet in sync")
+          "quickstart snippet in sync, cited documents exist")
     return 0
 
 
