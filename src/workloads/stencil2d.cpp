@@ -145,19 +145,15 @@ Built build_stencil2d(Program& p, const Params& params) {
     const long R = g.rows, C = g.cols;
     builder.iterations(T + 1)  // round 0 initializes, rounds 1..T sweep
         .cost(4.0 * points, 16.0 * points)
-        .body([=, cur = std::vector<double>(), next = std::vector<double>(),
+        .body([=, row = std::vector<double>(static_cast<std::size_t>(bcols)),
+               above = std::vector<double>(static_cast<std::size_t>(bcols)),
                halo = std::array<std::vector<double>, 4>{}](Step& s) mutable {
           const auto at = [bcols](long r, long c) {
             return static_cast<std::size_t>(r * bcols + c);
           };
           if (s.first()) {
-            cur.resize(static_cast<std::size_t>(brows * bcols));
-            next.resize(cur.size());
             for (int d = 0; d < 4; ++d)
               halo[static_cast<std::size_t>(d)].assign(face_elems(d), 0.0);
-            for (long r = 0; r < brows; ++r)
-              for (long c = 0; c < bcols; ++c)
-                cur[at(r, c)] = init_u(row0 + r, col0 + c);
           } else {
             // Gather the neighbours' previous-iteration faces.
             for (int d = 0; d < 4; ++d) {
@@ -168,35 +164,49 @@ Built build_stencil2d(Program& p, const Params& params) {
                           halo[static_cast<std::size_t>(d)].begin());
               });
             }
+          }
+          // The block location is the only copy of the block: sweep it in
+          // place and export the faces from it before releasing it. No
+          // other task declares it, so the grant is immediate and holding
+          // it across the face writes blocks nobody.
+          const Section<double> u = s.write(block);
+          if (s.first()) {
+            for (long r = 0; r < brows; ++r)
+              for (long c = 0; c < bcols; ++c)
+                u[at(r, c)] = init_u(row0 + r, col0 + c);
+          } else {
             // One row at a time, so the interior loop tests nothing per
-            // point: the row's N and S neighbours come from the row pointers
-            // (the halos at the block's first and last row), and the two
-            // edge columns, which need the W/E halos, go after the loop.
-            // bcols >= 2, so both edge columns exist and are distinct.
+            // point. Row r is copied into `row` before it is overwritten;
+            // `above` holds the old row r-1 (the N halo at the first row)
+            // and row r+1 of the block is not swept yet (the S halo at the
+            // last row). The two edge columns, which need the W/E halos,
+            // go after the loop. bcols >= 2, so both edge columns exist
+            // and are distinct.
             const bool pin_w = col0 == 0, pin_e = col0 + bcols == C;
             const auto last = static_cast<std::size_t>(bcols - 1);
             for (long r = 0; r < brows; ++r) {
-              const double* me = &cur[at(r, 0)];
-              double* out = &next[at(r, 0)];
+              double* out = &u[at(r, 0)];
+              std::copy(out, out + bcols, row.begin());
               const long gi = row0 + r;
-              if (gi == 0 || gi == R - 1) {  // pinned global-border row
-                std::copy(me, me + bcols, out);
-                continue;
+              if (gi != 0 && gi != R - 1) {  // else a pinned border row
+                const double* me = row.data();
+                const double* up = r > 0 ? above.data() : halo[kN].data();
+                const double* dn = r + 1 < brows ? out + bcols
+                                                 : halo[kS].data();
+                for (std::size_t c = 1; c < last; ++c)
+                  out[c] = jacobi_point(up[c], dn[c], me[c - 1], me[c + 1]);
+                const auto hr = static_cast<std::size_t>(r);
+                out[0] = pin_w ? me[0]
+                               : jacobi_point(up[0], dn[0], halo[kW][hr],
+                                              me[1]);
+                out[last] = pin_e ? me[last]
+                                  : jacobi_point(up[last], dn[last],
+                                                 me[last - 1], halo[kE][hr]);
               }
-              const double* up = r > 0 ? me - bcols : halo[kN].data();
-              const double* dn = r + 1 < brows ? me + bcols : halo[kS].data();
-              for (std::size_t c = 1; c < last; ++c)
-                out[c] = jacobi_point(up[c], dn[c], me[c - 1], me[c + 1]);
-              const auto hr = static_cast<std::size_t>(r);
-              out[0] = pin_w ? me[0]
-                             : jacobi_point(up[0], dn[0], halo[kW][hr], me[1]);
-              out[last] = pin_e ? me[last]
-                                : jacobi_point(up[last], dn[last],
-                                               me[last - 1], halo[kE][hr]);
+              std::swap(above, row);
             }
-            std::swap(cur, next);
           }
-          // Export the (new) boundary and publish the block.
+          // Export the (new) boundary.
           for (int d = 0; d < 4; ++d) {
             const Location<double> f = own[static_cast<std::size_t>(d)];
             if (!f.valid()) continue;
@@ -204,26 +214,23 @@ Built build_stencil2d(Program& p, const Params& params) {
               switch (d) {
                 case kN:
                   for (long c = 0; c < bcols; ++c)
-                    out[static_cast<std::size_t>(c)] = cur[at(0, c)];
+                    out[static_cast<std::size_t>(c)] = u[at(0, c)];
                   break;
                 case kS:
                   for (long c = 0; c < bcols; ++c)
-                    out[static_cast<std::size_t>(c)] = cur[at(brows - 1, c)];
+                    out[static_cast<std::size_t>(c)] = u[at(brows - 1, c)];
                   break;
                 case kW:
                   for (long r = 0; r < brows; ++r)
-                    out[static_cast<std::size_t>(r)] = cur[at(r, 0)];
+                    out[static_cast<std::size_t>(r)] = u[at(r, 0)];
                   break;
                 case kE:
                   for (long r = 0; r < brows; ++r)
-                    out[static_cast<std::size_t>(r)] = cur[at(r, bcols - 1)];
+                    out[static_cast<std::size_t>(r)] = u[at(r, bcols - 1)];
                   break;
               }
             });
           }
-          s.write(block, [&](std::span<double> out) {
-            std::copy(cur.begin(), cur.end(), out.begin());
-          });
         });
   }
 

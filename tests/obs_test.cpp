@@ -265,12 +265,18 @@ TEST(ObsMetrics, DumpMetricsFormat) {
   obs::Registry reg;
   reg.counter("c").add(2);
   reg.gauge("g").set(7);
-  reg.histogram("empty");
+  (void)reg.histogram("empty");
   std::ostringstream os;
   obs::dump_metrics(os, reg.snapshot());
   const std::string out = os.str();
   EXPECT_NE(out.find("counter c 2"), std::string::npos);
   EXPECT_NE(out.find("gauge g 7"), std::string::npos);
+  // A histogram that never recorded still dumps, with no bucket listed.
+  const std::size_t hist = out.find("hist empty ");
+  ASSERT_NE(hist, std::string::npos) << out;
+  const std::string line = out.substr(hist, out.find('\n', hist) - hist);
+  EXPECT_NE(line.find(" count=0 "), std::string::npos) << line;
+  EXPECT_TRUE(line.ends_with(" buckets=-")) << line;
 }
 
 TEST(ObsMetrics, DetailedMetricsFlagRoundTrips) {

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <string>
 
+#include "comm/patterns.h"
 #include "orwl/backend.h"
 #include "support/assert.h"
 #include "sync/wait_strategy.h"
@@ -196,34 +199,78 @@ TEST(Workloads, OversubscriptionStressTasksFarBeyondPUsBlocking) {
 }
 
 // stencil2d's sweep treats a block's first and last row and its two edge
-// columns apart from the interior, so every grid shape gets checked
-// bit-for-bit against the reference: 1x1 (all four global borders in one
-// block) through 3x3 (a block with halos on every side), and size 2 (every
-// point an edge; the interior column loop runs zero times).
-TEST(Workloads, Stencil2dMatchesReferenceOnEveryGeometry) {
+// columns apart from the interior, and wavefront's reads its west and north
+// operands from the halo edges at a block's first column and row, so every
+// grid shape gets checked bit-for-bit against the reference: 1x1 (all four
+// global borders in one block) through 3x3 (a block with halos on every
+// side), and size 2 (every point an edge; the interior column loop runs
+// zero times). wavefront needs at least one iteration.
+TEST(Workloads, GridWorkloadsMatchReferenceOnEveryGeometry) {
   const auto topo = topo::Topology::synthetic("pack:2 core:2 pu:1");
-  const auto check = [](const Params& params, Backend& backend,
-                        const char* name) {
+  const auto check = [](const char* workload, const Params& params,
+                        Backend& backend, const char* name) {
     Program p;
-    const Built built = get("stencil2d").build(p, params);
+    const Built built = get(workload).build(p, params);
     p.run(backend);
     std::string why;
     EXPECT_TRUE(built.verify(backend, why)) << name << ": " << why;
   };
-  for (const int tasks : {1, 2, 3, 4, 6, 9})
-    for (const long size : {2, 5, 16, 33})
-      for (const int iterations : {0, 1, 3}) {
-        const Params params{
-            .tasks = tasks, .size = size, .iterations = iterations};
-        SCOPED_TRACE("tasks " + std::to_string(tasks) + ", size " +
-                     std::to_string(size) + ", iterations " +
-                     std::to_string(iterations));
-        RuntimeBackend runtime;
-        check(params, runtime, "runtime");
-        SimBackend emulating(topo.clone(), sim::LinkCost::defaults_for(topo),
-                             {.emulate = true});
-        check(params, emulating, "emulating sim");
+  for (const char* workload : {"stencil2d", "wavefront"})
+    for (const int tasks : {1, 2, 3, 4, 6, 9})
+      for (const long size : {2, 5, 16, 33})
+        for (const int iterations : {0, 1, 3}) {
+          if (iterations == 0 && std::string(workload) == "wavefront")
+            continue;
+          const Params params{
+              .tasks = tasks, .size = size, .iterations = iterations};
+          SCOPED_TRACE(std::string(workload) + ", tasks " +
+                       std::to_string(tasks) + ", size " +
+                       std::to_string(size) + ", iterations " +
+                       std::to_string(iterations));
+          RuntimeBackend runtime;
+          check(workload, params, runtime, "runtime");
+          SimBackend emulating(topo.clone(),
+                               sim::LinkCost::defaults_for(topo),
+                               {.emulate = true});
+          check(workload, params, emulating, "emulating sim");
+        }
+}
+
+// Every declared access of a grid workload is granted once per round it
+// runs, so the grant count follows from the declarations alone. With B
+// blocks and D the sum over blocks of their axis neighbours: stencil2d
+// writes its block and D faces in each of its T+1 rounds and reads D
+// halos in rounds 1..T; at T = 0 the unused halo requests are drained
+// once. wavefront writes its block and its east/south edges and reads its
+// west/north edges in each of its T rounds.
+TEST(Workloads, GridWorkloadsGrantEveryDeclaredAccess) {
+  for (const int tasks : {1, 2, 4, 6, 9}) {
+    const auto [gx, gy] = comm::block_grid(tasks);
+    const auto B = static_cast<std::uint64_t>(gx * gy);
+    const auto D =
+        static_cast<std::uint64_t>(2 * ((gx - 1) * gy + gx * (gy - 1)));
+    for (const int T : {0, 1, 3, 20}) {
+      const auto t = static_cast<std::uint64_t>(T);
+      const struct {
+        const char* name;
+        std::uint64_t grants;
+      } expected[] = {
+          {"stencil2d", (t + 1) * (B + D) + std::max<std::uint64_t>(t, 1) * D},
+          {"wavefront", t * (B + D)}};
+      for (const auto& e : expected) {
+        if (T == 0 && std::string(e.name) == "wavefront") continue;
+        SCOPED_TRACE(std::string(e.name) + ", tasks " +
+                     std::to_string(tasks) + ", T " + std::to_string(T));
+        Program p;
+        const Built built =
+            get(e.name).build(p, {.tasks = tasks, .size = 8, .iterations = T});
+        RuntimeBackend backend;
+        EXPECT_EQ(p.run(backend).grants, e.grants);
+        std::string why;
+        EXPECT_TRUE(built.verify(backend, why)) << why;
       }
+    }
+  }
 }
 
 TEST(Workloads, SingleTaskDegenerateCasesRun) {
