@@ -40,6 +40,27 @@ double jacobi_point(double n, double s, double w, double e) {
   return 0.25 * (n + s + w + e);
 }
 
+/// Jacobi update of the interior columns 1..n-2 of one row: `up` and `dn`
+/// are the old rows above and below, `me` the old row itself. The four
+/// rows never overlap, which is what `__restrict` promises: `out` is the
+/// row of the block section being written, `dn` the next row of that
+/// section or the S halo, and `up` and `me` the sweep's two row buffers.
+/// Both points of a pair are computed before either is stored, so GCC at
+/// -O2 packs each pair into one SSE2 add/multiply sequence; every point
+/// still adds its operands in jacobi_point's order.
+void jacobi_row(double* __restrict out, const double* __restrict up,
+                const double* __restrict dn, const double* __restrict me,
+                std::size_t n) {
+  std::size_t c = 1;
+  for (; c + 2 < n; c += 2) {
+    const double a = jacobi_point(up[c], dn[c], me[c - 1], me[c + 1]);
+    const double b = jacobi_point(up[c + 1], dn[c + 1], me[c], me[c + 2]);
+    out[c] = a;
+    out[c + 1] = b;
+  }
+  if (c + 1 < n) out[c] = jacobi_point(up[c], dn[c], me[c - 1], me[c + 1]);
+}
+
 struct Geometry {
   int gx = 1, gy = 1;       ///< block grid
   long brows = 1, bcols = 1;  ///< per-block field size
@@ -175,13 +196,12 @@ Built build_stencil2d(Program& p, const Params& params) {
               for (long c = 0; c < bcols; ++c)
                 u[at(r, c)] = init_u(row0 + r, col0 + c);
           } else {
-            // One row at a time, so the interior loop tests nothing per
-            // point. Row r is copied into `row` before it is overwritten;
-            // `above` holds the old row r-1 (the N halo at the first row)
-            // and row r+1 of the block is not swept yet (the S halo at the
-            // last row). The two edge columns, which need the W/E halos,
-            // go after the loop. bcols >= 2, so both edge columns exist
-            // and are distinct.
+            // One row at a time. Row r is copied into `row` before it is
+            // overwritten; `above` holds the old row r-1 (the N halo at the
+            // first row) and row r+1 of the block is not swept yet (the S
+            // halo at the last row). jacobi_row sweeps the interior; the
+            // two edge columns, which need the W/E halos, go after it.
+            // bcols >= 2, so both edge columns exist and are distinct.
             const bool pin_w = col0 == 0, pin_e = col0 + bcols == C;
             const auto last = static_cast<std::size_t>(bcols - 1);
             for (long r = 0; r < brows; ++r) {
@@ -193,8 +213,7 @@ Built build_stencil2d(Program& p, const Params& params) {
                 const double* up = r > 0 ? above.data() : halo[kN].data();
                 const double* dn = r + 1 < brows ? out + bcols
                                                  : halo[kS].data();
-                for (std::size_t c = 1; c < last; ++c)
-                  out[c] = jacobi_point(up[c], dn[c], me[c - 1], me[c + 1]);
+                jacobi_row(out, up, dn, me, static_cast<std::size_t>(bcols));
                 const auto hr = static_cast<std::size_t>(r);
                 out[0] = pin_w ? me[0]
                                : jacobi_point(up[0], dn[0], halo[kW][hr],

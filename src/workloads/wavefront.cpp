@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "comm/patterns.h"
@@ -36,6 +37,55 @@ double north_boundary(long j) { return 0.5 + 0.25 * init_h(-1, j); }
 
 double wave_point(double west, double north, double old) {
   return 0.35 * west + 0.35 * north + 0.3 * old;
+}
+
+/// Updates column c of row `me` below row `up`; `west` carries the row's
+/// last updated value from one column to the next.
+void wave_step(double& west, const double* up, double* me, long c) {
+  west = wave_point(west, up[c], me[c]);
+  me[c] = west;
+}
+
+/// One in-place sweep of a brows x bcols block `h` in which every point
+/// gets the reference's operands: `wcol` holds the west operands of the
+/// first column, `nrow` the north operands of the first row. Rows go in
+/// bands of four. At step t, row r+k of a band updates column t-k, so its
+/// north value was updated one step earlier and the four rows are four
+/// independent dependency chains instead of one.
+void sweep_block(double* h, long brows, long bcols, const double* wcol,
+                 const double* nrow) {
+  long r = 0;
+  for (; r + 4 <= brows; r += 4) {
+    double* const r0 = h + r * bcols;
+    double* const r1 = r0 + bcols;
+    double* const r2 = r1 + bcols;
+    double* const r3 = r2 + bcols;
+    const double* const up = r > 0 ? r0 - bcols : nrow;
+    double w0 = wcol[r], w1 = wcol[r + 1], w2 = wcol[r + 2], w3 = wcol[r + 3];
+    // The first three steps and the last three update only the rows with
+    // 0 <= t-k < bcols; the steps in between update all four.
+    const auto edge = [&](long t) {
+      if (t < bcols) wave_step(w0, up, r0, t);
+      if (t >= 1 && t - 1 < bcols) wave_step(w1, r0, r1, t - 1);
+      if (t >= 2 && t - 2 < bcols) wave_step(w2, r1, r2, t - 2);
+      if (t >= 3 && t - 3 < bcols) wave_step(w3, r2, r3, t - 3);
+    };
+    long t = 0;
+    for (; t < 3; ++t) edge(t);
+    for (; t < bcols; ++t) {
+      wave_step(w0, up, r0, t);
+      wave_step(w1, r0, r1, t - 1);
+      wave_step(w2, r1, r2, t - 2);
+      wave_step(w3, r2, r3, t - 3);
+    }
+    for (; t < bcols + 3; ++t) edge(t);
+  }
+  for (; r < brows; ++r) {
+    double* const me = h + r * bcols;
+    const double* const up = r > 0 ? me - bcols : nrow;
+    double west = wcol[r];
+    for (long c = 0; c < bcols; ++c) wave_step(west, up, me, c);
+  }
 }
 
 struct Geometry {
@@ -131,11 +181,22 @@ Built build_wavefront(Program& p, const Params& params) {
     if (in_west.valid()) builder.reads(in_west, {.rank = 2});
     if (in_north.valid()) builder.reads(in_north, {.rank = 2});
 
+    // West operands of the block's first column and north operands of its
+    // first row: the neighbour's edge, copied in every round, or else the
+    // global boundary feed, which never changes.
+    std::vector<double> wcol(static_cast<std::size_t>(brows));
+    std::vector<double> nrow(static_cast<std::size_t>(bcols));
+    if (!in_west.valid())
+      for (long r = 0; r < brows; ++r)
+        wcol[static_cast<std::size_t>(r)] = west_boundary(row0 + r);
+    if (!in_north.valid())
+      for (long c = 0; c < bcols; ++c)
+        nrow[static_cast<std::size_t>(c)] = north_boundary(col0 + c);
+
     builder.iterations(T)
         .cost(3.0 * points, 16.0 * points)
-        .body([=, wcol = std::vector<double>(static_cast<std::size_t>(brows)),
-               nrow = std::vector<double>(static_cast<std::size_t>(bcols))](
-                  Step& s) mutable {
+        .body([=, wcol = std::move(wcol),
+               nrow = std::move(nrow)](Step& s) mutable {
           const auto at = [bcols](long r, long c) {
             return static_cast<std::size_t>(r * bcols + c);
           };
@@ -158,20 +219,7 @@ Built build_wavefront(Program& p, const Params& params) {
             s.read(in_north, [&](std::span<const double> edge) {
               std::copy(edge.begin(), edge.end(), nrow.begin());
             });
-          for (long r = 0; r < brows; ++r) {
-            for (long c = 0; c < bcols; ++c) {
-              const double west =
-                  c > 0 ? cur[at(r, c - 1)]
-                        : (in_west.valid() ? wcol[static_cast<std::size_t>(r)]
-                                           : west_boundary(row0 + r));
-              const double north =
-                  r > 0 ? cur[at(r - 1, c)]
-                        : (in_north.valid()
-                               ? nrow[static_cast<std::size_t>(c)]
-                               : north_boundary(col0 + c));
-              cur[at(r, c)] = wave_point(west, north, cur[at(r, c)]);
-            }
-          }
+          sweep_block(cur.data(), brows, bcols, wcol.data(), nrow.data());
           if (my_east.valid())
             s.write(my_east, [&](std::span<double> out) {
               for (long r = 0; r < brows; ++r)

@@ -23,4 +23,13 @@ inline int justified_load(const std::atomic<int>& a) {
 // lint: allow-naked-acquire(fixture demonstrates the suppression form)
 inline void suppressed(Handle& h) { h.acquire(); }
 
+// Not code-generation knobs: alignas on data, an attribute that is not on
+// the codegen list, and a pragma annotated with its reason.
+struct alignas(64) CacheLine {
+  std::atomic<int> v{0};
+};
+#define LINTFIX_ANNOTATION(x) __attribute__((x))
+// lint: allow-codegen(fixture demonstrates the suppression form)
+#pragma GCC diagnostic ignored "-Wunused"
+
 }  // namespace orwl::lintfix

@@ -203,8 +203,19 @@ TEST(Workloads, OversubscriptionStressTasksFarBeyondPUsBlocking) {
 // operands from the halo edges at a block's first column and row, so every
 // grid shape gets checked bit-for-bit against the reference: 1x1 (all four
 // global borders in one block) through 3x3 (a block with halos on every
-// side), and size 2 (every point an edge; the interior column loop runs
-// zero times). wavefront needs at least one iteration.
+// side). Over 1 to 3 blocks per axis the sizes give block widths and
+// heights of 2, 3, 5, 7, 8, 11, 16 and 33:
+// - size 2: every point an edge; stencil2d's interior loop runs zero times;
+// - size 3: 3-wide blocks, whose one interior point is jacobi_row's scalar
+//   tail;
+// - widths 5, 7, 11 and 33 end the two-point loop with the tail, 8 and 16
+//   do not;
+// - size 7 at 2 tasks: a 3-wide, 7-tall block, so wavefront sweeps one band
+//   of four rows narrower than its skew (the first three steps and the last
+//   three overlap) and then three single rows;
+// - heights 8/16, 5/33, 2 and 3/7/11 leave 0, 1, 2 and 3 rows after
+//   wavefront's bands of four.
+// wavefront needs at least one iteration.
 TEST(Workloads, GridWorkloadsMatchReferenceOnEveryGeometry) {
   const auto topo = topo::Topology::synthetic("pack:2 core:2 pu:1");
   const auto check = [](const char* workload, const Params& params,
@@ -217,7 +228,7 @@ TEST(Workloads, GridWorkloadsMatchReferenceOnEveryGeometry) {
   };
   for (const char* workload : {"stencil2d", "wavefront"})
     for (const int tasks : {1, 2, 3, 4, 6, 9})
-      for (const long size : {2, 5, 16, 33})
+      for (const long size : {2, 3, 5, 7, 16, 33})
         for (const int iterations : {0, 1, 3}) {
           if (iterations == 0 && std::string(workload) == "wavefront")
             continue;

@@ -41,6 +41,16 @@ layering         No file under src/lk23/ or src/workloads/ includes a sim/
                  models (comm::block_grid) lives in a layer below all
                  three. Scope: src/.
 
+codegen          No code-generation knobs: a `#pragma` other than
+                 `#pragma once` (or `_Pragma`), an
+                 `__attribute__((optimize|target|target_clones|hot|flatten|
+                 aligned ...))`, or the same names as `[[gnu::...]]`
+                 attributes. A kernel is made faster by its source, not by
+                 flags, pragmas or alignment that win code layout back. A
+                 line passes with `// lint: allow-codegen(<reason>)` on it
+                 or on the line before. `alignas` on data stays allowed
+                 (cache-line separation). Scope: src/.
+
 Usage
 -----
   tools/orwl_lint.py [--root DIR]    lint the repo (default: cwd); exit 1 on
@@ -268,6 +278,44 @@ def check_layering(rel: str, lines: List[str]) -> Iterable[Violation]:
             "reach the simulator through orwl/backend.h")
 
 
+PRAGMA = re.compile(r"^\s*#\s*pragma\s+(\w+)|\b_Pragma\s*\(")
+# The knob names, bare or in GCC's reserved __name__ spelling.
+CODEGEN_NAMES = (r"(?:__)?(?:optimize|target_clones|target|hot|flatten|"
+                 r"aligned)(?:__)?\b")
+GNU_ATTRIBUTE = re.compile(r"__attribute__\s*\(\((.*?)\)\)")
+CODEGEN_NAME = re.compile(r"\b" + CODEGEN_NAMES)
+GNU_STD_ATTRIBUTE = re.compile(r"\[\[[^\]]*\b(?:gnu|__gnu__)::" +
+                               CODEGEN_NAMES)
+CODEGEN_ALLOW = re.compile(r"//\s*lint:\s*allow-codegen\([^)]+\)")
+
+
+def codegen_knob(code: str):
+    """The code-generation knob on a comment-stripped line, or None."""
+    m = PRAGMA.search(code)
+    if m and m.group(1) != "once":
+        return "#pragma " + m.group(1) if m.group(1) else "_Pragma"
+    for attr in GNU_ATTRIBUTE.finditer(code):
+        name = CODEGEN_NAME.search(attr.group(1))
+        if name:
+            return f"__attribute__(({name.group(0)}))"
+    m = GNU_STD_ATTRIBUTE.search(code)
+    if m:
+        return m.group(0) + "]]"
+    return None
+
+
+def check_codegen(rel: str, lines: List[str]) -> Iterable[Violation]:
+    for i, line in enumerate(lines):
+        knob = codegen_knob(line.split("//", 1)[0])
+        if knob is None or CODEGEN_ALLOW.search(window(lines, i, 1)):
+            continue
+        yield Violation(
+            rel, i + 1, "codegen",
+            f"{knob} is a code-generation knob; make the kernel faster in "
+            "its source, or annotate with "
+            "'// lint: allow-codegen(<reason>)'")
+
+
 _current_root = "."
 
 RULES: List[Callable[[str, List[str]], Iterable[Violation]]] = [
@@ -277,6 +325,7 @@ RULES: List[Callable[[str, List[str]], Iterable[Violation]]] = [
     check_rmw_allowlist,
     check_include_hygiene,
     check_layering,
+    check_codegen,
 ]
 
 # sink-contract also covers test code (the model checker implements sinks);
@@ -312,6 +361,7 @@ EXPECTED_FIXTURE_RULES = {
     "src/orwl/bad_rmw.cpp": {"rmw-allowlist"},
     "src/orwl/bad_include.h": {"include-hygiene"},
     "src/workloads/bad_layering.cpp": {"layering"},
+    "src/workloads/bad_codegen.cpp": {"codegen"},
     "src/orwl/clean.h": set(),
 }
 
