@@ -61,14 +61,11 @@ Micro map_stencil(int threads) {
   return {"map_stencil/" + std::to_string(threads),
           static_cast<double>(repeats), [threads, repeats] {
             const topo::Topology topo = machine_for(threads);
-            comm::StencilSpec spec;
             const int side =
                 static_cast<int>(std::sqrt(static_cast<double>(threads)));
-            spec.blocks_x = threads / side;
-            spec.blocks_y = side;
-            spec.block_rows = 128;
-            spec.block_cols = 128;
-            return time_maps(topo, comm::stencil_matrix(spec), repeats);
+            return time_maps(
+                topo, comm::stencil_matrix({threads / side, side, 128, 128}),
+                repeats);
           }};
 }
 

@@ -46,12 +46,7 @@ int main() {
                "workload: 16 threads, stencil pattern, lock-heavy "
                "(acquires/iteration swept)\n\n";
 
-  comm::StencilSpec st;
-  st.blocks_x = 4;
-  st.blocks_y = 4;
-  st.block_rows = 512;
-  st.block_cols = 512;
-  const auto m = comm::stencil_matrix(st);
+  const auto m = comm::stencil_matrix({4, 4, 512, 512});
 
   // SMT machine: hyperthread strategy available (32 PUs, 16 cores).
   const auto topo_smt = topo::Topology::synthetic("pack:2 core:8 pu:2");

@@ -60,13 +60,9 @@ int main(int argc, char** argv) {
 
     std::vector<Pattern> patterns;
     {
-      comm::StencilSpec st;
       const int side = static_cast<int>(std::sqrt(double(p)));
-      st.blocks_x = p / side;
-      st.blocks_y = side;
-      st.block_rows = 256;
-      st.block_cols = 256;
-      patterns.push_back({"stencil", comm::stencil_matrix(st)});
+      patterns.push_back(
+          {"stencil", comm::stencil_matrix({p / side, side, 256, 256})});
       patterns.push_back({"ring", comm::ring_matrix(p, 4096.0)});
       patterns.push_back(
           {"clustered", comm::clustered_matrix(p, 8, 4096.0, 16.0)});

@@ -9,12 +9,14 @@
 // declaration — no runtime, no execution. (Only Program::run needs
 // bodies.)
 
+#include <array>
 #include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "comm/metrics.h"
+#include "comm/patterns.h"
 #include "orwl/program.h"
 #include "support/table.h"
 
@@ -22,50 +24,33 @@ namespace {
 
 using namespace orwl;
 
-// A blocks_x × blocks_y halo-exchange stencil: every block task exports
-// one face location per existing neighbour (4-neighbourhood) and reads the
+// A halo-exchange stencil on grid g: every block task exports one face
+// location per existing neighbour (4-neighbourhood) and reads the
 // neighbours' opposing faces.
-Program stencil_program(int blocks_x, int blocks_y, long block_rows,
-                        long block_cols) {
+Program stencil_program(const comm::BlockGrid& g) {
   Program p;
-  const int dx[] = {0, 0, -1, +1};           // N, S, W, E
-  const int dy[] = {-1, +1, 0, 0};
-  auto face_elems = [&](int d) {
-    return static_cast<std::size_t>(d < 2 ? block_cols : block_rows);
-  };
-  auto block_id = [&](int x, int y) { return y * blocks_x + x; };
-  auto exists = [&](int x, int y) {
-    return x >= 0 && y >= 0 && x < blocks_x && y < blocks_y;
-  };
-
   // faces[b][d]: block b's export towards direction d.
-  std::vector<std::array<Location<double>, 4>> faces(
-      static_cast<std::size_t>(blocks_x * blocks_y));
-  for (int y = 0; y < blocks_y; ++y)
-    for (int x = 0; x < blocks_x; ++x)
-      for (int d = 0; d < 4; ++d) {
-        if (!exists(x + dx[d], y + dy[d])) continue;
-        const int b = block_id(x, y);
+  std::vector<std::array<Location<double>, comm::kAxisDirs>> faces(
+      static_cast<std::size_t>(g.blocks()));
+  for (int b = 0; b < g.blocks(); ++b)
+    for (int d = 0; d < comm::kAxisDirs; ++d)
+      if (g.neighbour(b, d) >= 0)
         faces[static_cast<std::size_t>(b)][static_cast<std::size_t>(d)] =
-            p.location<double>(face_elems(d),
+            p.location<double>(static_cast<std::size_t>(g.face_elems(d)),
                                "face" + std::to_string(b) + "d" +
                                    std::to_string(d));
-      }
-  for (int y = 0; y < blocks_y; ++y)
-    for (int x = 0; x < blocks_x; ++x) {
-      const int b = block_id(x, y);
-      TaskBuilder t = p.task("block" + std::to_string(b));
-      for (int d = 0; d < 4; ++d) {
-        const auto& own =
-            faces[static_cast<std::size_t>(b)][static_cast<std::size_t>(d)];
-        if (own.valid()) t.writes(own);
-        if (!exists(x + dx[d], y + dy[d])) continue;
-        const int nb = block_id(x + dx[d], y + dy[d]);
-        const int opp = d ^ 1;  // N<->S, W<->E
-        t.reads(faces[static_cast<std::size_t>(nb)]
-                     [static_cast<std::size_t>(opp)]);
-      }
+  for (int b = 0; b < g.blocks(); ++b) {
+    TaskBuilder t = p.task("block" + std::to_string(b));
+    for (int d = 0; d < comm::kAxisDirs; ++d) {
+      const auto& own =
+          faces[static_cast<std::size_t>(b)][static_cast<std::size_t>(d)];
+      if (own.valid()) t.writes(own);
+      const int nb = g.neighbour(b, d);
+      if (nb < 0) continue;
+      t.reads(faces[static_cast<std::size_t>(nb)]
+                   [static_cast<std::size_t>(comm::opposite(d))]);
     }
+  }
   return p;
 }
 
@@ -82,7 +67,7 @@ void explore(const char* name, const topo::Topology& topo) {
   const int side = std::max(1, static_cast<int>(std::sqrt(double(pus))));
   const int blocks_y = side;
   const int blocks_x = pus / side;
-  const Program p = stencil_program(blocks_x, blocks_y, 256, 256);
+  const Program p = stencil_program({blocks_x, blocks_y, 256, 256});
   const auto m = p.static_comm_matrix();
 
   Table table({"policy", "hop-bytes (KiB)", "package-local %"});

@@ -1,5 +1,6 @@
 #include "comm/patterns.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/assert.h"
@@ -14,60 +15,70 @@ std::pair<int, int> block_grid(int tasks) {
   return {tasks / by, by};
 }
 
-CommMatrix stencil_matrix(const StencilSpec& spec) {
-  ORWL_CHECK_MSG(spec.blocks_x >= 1 && spec.blocks_y >= 1,
-                 "stencil needs at least one block");
-  ORWL_CHECK_MSG(spec.block_rows >= 1 && spec.block_cols >= 1,
-                 "blocks must be non-empty");
-  const int bx = spec.blocks_x;
-  const int by = spec.blocks_y;
+int opposite(int dir) {
+  static constexpr int kOpposite[] = {S, N, E, W, SE, SW, NE, NW};
+  ORWL_CHECK_MSG(dir >= 0 && dir < kAllDirs, "bad direction " << dir);
+  return kOpposite[dir];
+}
+
+int BlockGrid::neighbour(int b, int dir) const {
+  static constexpr int kDx[] = {0, 0, -1, +1, -1, +1, -1, +1};
+  static constexpr int kDy[] = {-1, +1, 0, 0, -1, -1, +1, +1};
+  ORWL_CHECK_MSG(dir >= 0 && dir < kAllDirs, "bad direction " << dir);
+  const int x = b % bx + kDx[dir];
+  const int y = b / bx + kDy[dir];
+  if (x < 0 || y < 0 || x >= bx || y >= by) return -1;
+  return y * bx + x;
+}
+
+long BlockGrid::face_elems(int dir) const {
+  if (dir == N || dir == S) return bcols;
+  if (dir == W || dir == E) return brows;
+  return 1;  // corners
+}
+
+void BlockGrid::copy_face(const double* block, long stride, int dir,
+                          double* out) const {
+  const double* const last = block + (brows - 1) * stride;
+  switch (dir) {
+    case N: std::copy(block, block + bcols, out); return;
+    case S: std::copy(last, last + bcols, out); return;
+    case W:
+      for (long r = 0; r < brows; ++r) out[r] = block[r * stride];
+      return;
+    case E:
+      for (long r = 0; r < brows; ++r) out[r] = block[r * stride + bcols - 1];
+      return;
+    case NW: out[0] = block[0]; return;
+    case NE: out[0] = block[bcols - 1]; return;
+    case SW: out[0] = last[0]; return;
+    case SE: out[0] = last[bcols - 1]; return;
+  }
+  ORWL_CHECK_MSG(false, "bad direction " << dir);
+}
+
+CommMatrix stencil_matrix(const BlockGrid& g, bool corners) {
+  ORWL_CHECK_MSG(g.bx >= 1 && g.by >= 1, "stencil needs at least one block");
+  ORWL_CHECK_MSG(g.brows >= 1 && g.bcols >= 1, "blocks must be non-empty");
+  constexpr double kElem = sizeof(double);
+  const int bx = g.bx;
+  const int by = g.by;
   CommMatrix m(bx * by);
 
   auto tid = [&](int x, int y) { return y * bx + x; };
-  auto wrap = [](int v, int n) { return ((v % n) + n) % n; };
 
+  // Each pair once, from its west or north member: horizontal edges carry
+  // brows elements, vertical edges bcols, corners one.
   for (int y = 0; y < by; ++y) {
     for (int x = 0; x < bx; ++x) {
       const int self = tid(x, y);
-      // Axis neighbours: horizontal edges carry block_rows elements,
-      // vertical edges carry block_cols elements.
-      struct Step {
-        int dx, dy;
-        double elems;
-      };
-      const Step axis[] = {
-          {+1, 0, static_cast<double>(spec.block_rows)},
-          {0, +1, static_cast<double>(spec.block_cols)},
-      };
-      for (const auto& s : axis) {
-        int nx = x + s.dx;
-        int ny = y + s.dy;
-        if (spec.periodic) {
-          nx = wrap(nx, bx);
-          ny = wrap(ny, by);
-        } else if (nx >= bx || ny >= by) {
-          continue;
-        }
-        const int other = tid(nx, ny);
-        if (other == self) continue;  // degenerate periodic dimension
-        m.add(self, other, s.elems * spec.elem_bytes);
-      }
-      if (spec.corners) {
-        const int diag[][2] = {{+1, +1}, {+1, -1}};
-        for (const auto& d : diag) {
-          int nx = x + d[0];
-          int ny = y + d[1];
-          if (spec.periodic) {
-            nx = wrap(nx, bx);
-            ny = wrap(ny, by);
-          } else if (nx < 0 || ny < 0 || nx >= bx || ny >= by) {
-            continue;
-          }
-          const int other = tid(nx, ny);
-          if (other == self) continue;
-          m.add(self, other, static_cast<double>(spec.elem_bytes));
-        }
-      }
+      if (x + 1 < bx)
+        m.add(self, tid(x + 1, y), static_cast<double>(g.brows) * kElem);
+      if (y + 1 < by)
+        m.add(self, tid(x, y + 1), static_cast<double>(g.bcols) * kElem);
+      if (!corners || x + 1 >= bx) continue;
+      if (y + 1 < by) m.add(self, tid(x + 1, y + 1), kElem);
+      if (y > 0) m.add(self, tid(x + 1, y - 1), kElem);
     }
   }
   return m;

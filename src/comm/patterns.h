@@ -1,8 +1,9 @@
 #pragma once
-// Synthetic communication-pattern generators. The block-stencil generator
-// reproduces the pattern the ORWL Livermore Kernel 23 decomposition induces
-// (Sec. III of the paper): each block exchanges edges with its 4 axis
-// neighbours and corners with its 4 diagonal neighbours.
+// Synthetic communication-pattern generators, and the 2-D block grid every
+// block decomposition in the repo is laid out on. The block-stencil
+// generator reproduces the pattern the ORWL Livermore Kernel 23
+// decomposition induces (Sec. III of the paper): each block exchanges edges
+// with its 4 axis neighbours and corners with its 4 diagonal neighbours.
 
 #include <cstdint>
 #include <utility>
@@ -11,17 +12,6 @@
 
 namespace orwl::comm {
 
-/// Geometry of a 2-D block decomposition.
-struct StencilSpec {
-  int blocks_x = 1;          ///< number of blocks horizontally
-  int blocks_y = 1;          ///< number of blocks vertically
-  int block_rows = 1;        ///< matrix rows per block
-  int block_cols = 1;        ///< matrix columns per block
-  int elem_bytes = 8;        ///< sizeof(double)
-  bool periodic = false;     ///< wrap-around neighbours
-  bool corners = true;       ///< include diagonal (corner) exchanges
-};
-
 /// Near-square 2-D block grid for `tasks` blocks: {bx, by} with
 /// bx * by == tasks, bx >= by, and by the largest divisor of `tasks` not
 /// above sqrt(tasks). Every block decomposition in the repo (the LK23
@@ -29,10 +19,47 @@ struct StencilSpec {
 /// factors its task count through this one function.
 std::pair<int, int> block_grid(int tasks);
 
-/// Thread-per-block stencil communication matrix (order = bx * by).
-/// Edge weight = edge length in elements * elem_bytes; corner weight =
-/// elem_bytes. Block (x, y) is thread index y * blocks_x + x.
-CommMatrix stencil_matrix(const StencilSpec& spec);
+/// The eight directions of the ORWL block decomposition (paper Sec. III):
+/// a block exports an edge towards each axis neighbour and a corner towards
+/// each diagonal one. The axis directions come first, so a decomposition
+/// that exchanges edges only loops over [0, kAxisDirs).
+enum Dir : int { N, S, W, E, NW, NE, SW, SE };
+inline constexpr int kAxisDirs = 4;
+inline constexpr int kAllDirs = 8;
+
+/// The direction back: N <-> S, W <-> E, NW <-> SE, NE <-> SW.
+int opposite(int dir);
+
+/// A bx x by grid of brows x bcols blocks over a rows() x cols() field.
+/// Block b sits in grid column b % bx and grid row b / bx; rows grow
+/// southwards.
+struct BlockGrid {
+  int bx = 1, by = 1;
+  long brows = 1, bcols = 1;
+
+  int blocks() const { return bx * by; }
+  long rows() const { return brows * by; }
+  long cols() const { return bcols * bx; }
+  /// Global row and column of block b's (0, 0).
+  long row0(int b) const { return b / bx * brows; }
+  long col0(int b) const { return b % bx * bcols; }
+  /// The block in direction `dir` of block b, or -1 past the grid's edge.
+  int neighbour(int b, int dir) const;
+  /// Doubles a block exports towards `dir`: an edge's length, or 1 for a
+  /// corner.
+  long face_elems(int dir) const;
+  /// Copy the face towards `dir` of the block whose (0, 0) is at `block`,
+  /// its rows `stride` doubles apart, into `out` (face_elems(dir) doubles).
+  /// stride == bcols for a contiguous block, cols() for one inside the
+  /// global field.
+  void copy_face(const double* block, long stride, int dir,
+                 double* out) const;
+};
+
+/// Thread-per-block stencil communication matrix (order = g.blocks()) of
+/// doubles. Edge weight = edge length in bytes; corner weight = one
+/// double, left out when `corners` is false. Block b is thread b.
+CommMatrix stencil_matrix(const BlockGrid& g, bool corners = true);
 
 /// 1-D ring of n threads exchanging `bytes` with each neighbour.
 CommMatrix ring_matrix(int n, double bytes, bool periodic = true);

@@ -14,9 +14,8 @@ ForkJoinRunResult run_forkjoin(const Spec& spec, int num_threads,
   ORWL_CHECK_MSG(num_threads >= 1, "need at least one thread");
 
   const long n = spec.n;
-  const int B = spec.bx * spec.by;
-  const long brows = n / spec.by;
-  const long bcols = n / spec.bx;
+  const comm::BlockGrid g = spec.grid();
+  const int B = g.blocks();
 
   std::vector<std::optional<topo::Bitmap>> cpusets;
   if (topo != nullptr) {
@@ -35,47 +34,33 @@ ForkJoinRunResult run_forkjoin(const Spec& spec, int num_threads,
   init_block(whole);
 
   std::vector<Halo> halos(static_cast<std::size_t>(B));
-  for (auto& h : halos) {
-    h.north.resize(static_cast<std::size_t>(bcols));
-    h.south.resize(static_cast<std::size_t>(bcols));
-    h.west.resize(static_cast<std::size_t>(brows));
-    h.east.resize(static_cast<std::size_t>(brows));
-  }
+  for (auto& h : halos)
+    for (int d = 0; d < comm::kAllDirs; ++d)
+      h[static_cast<std::size_t>(d)].resize(
+          static_cast<std::size_t>(g.face_elems(d)));
 
-  auto block_origin = [&](int b) {
-    return std::pair<long, long>{(b / spec.bx) * brows,
-                                 (b % spec.bx) * bcols};
-  };
-  auto at = [&](long j, long k) -> double {
-    if (j < 0 || k < 0 || j >= n || k >= n) return 0.0;
-    return za[static_cast<std::size_t>(j * n + k)];
-  };
+  // Block b's (0, 0) inside the global field.
+  auto origin = [&](int b) { return za.data() + g.row0(b) * n + g.col0(b); };
 
   WallTimer timer;
   for (int it = 0; it < spec.iterations; ++it) {
-    // Phase 1: snapshot every block's frontier (previous-iteration values).
+    // Phase 1: snapshot every block's frontier (previous-iteration values):
+    // in each direction, the neighbour's face pointing back at the block.
     pool.parallel_for_each(0, B, [&](long b) {
-      const auto [row0, col0] = block_origin(static_cast<int>(b));
       Halo& h = halos[static_cast<std::size_t>(b)];
-      for (long c = 0; c < bcols; ++c) {
-        h.north[static_cast<std::size_t>(c)] = at(row0 - 1, col0 + c);
-        h.south[static_cast<std::size_t>(c)] = at(row0 + brows, col0 + c);
+      for (int d = 0; d < comm::kAllDirs; ++d) {
+        const int nb = g.neighbour(static_cast<int>(b), d);
+        if (nb >= 0)
+          g.copy_face(origin(nb), n, comm::opposite(d),
+                      h[static_cast<std::size_t>(d)].data());
       }
-      for (long r = 0; r < brows; ++r) {
-        h.west[static_cast<std::size_t>(r)] = at(row0 + r, col0 - 1);
-        h.east[static_cast<std::size_t>(r)] = at(row0 + r, col0 + bcols);
-      }
-      h.nw = at(row0 - 1, col0 - 1);
-      h.ne = at(row0 - 1, col0 + bcols);
-      h.sw = at(row0 + brows, col0 - 1);
-      h.se = at(row0 + brows, col0 + bcols);
     });
     // Phase 2: sweep all blocks in place.
     pool.parallel_for_each(0, B, [&](long b) {
-      const auto [row0, col0] = block_origin(static_cast<int>(b));
-      BlockView blk{za.data() + row0 * n + col0, n, brows, bcols, row0, col0,
-                    n};
-      sweep_block(blk, halos[static_cast<std::size_t>(b)]);
+      const int blk = static_cast<int>(b);
+      sweep_block({origin(blk), n, g.brows, g.bcols, g.row0(blk),
+                   g.col0(blk), n},
+                  halos[static_cast<std::size_t>(b)]);
     });
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "support/assert.h"
 
@@ -17,92 +16,33 @@ void init_block(const BlockView& b) {
 
 void sweep_block(const BlockView& b, const Halo& halo) {
   ORWL_CHECK(b.za != nullptr && b.stride >= b.cols);
-  ORWL_CHECK_MSG(static_cast<long>(halo.north.size()) >= b.cols &&
-                     static_cast<long>(halo.south.size()) >= b.cols &&
-                     static_cast<long>(halo.west.size()) >= b.rows &&
-                     static_cast<long>(halo.east.size()) >= b.rows,
+  ORWL_CHECK_MSG(static_cast<long>(halo[N].size()) >= b.cols &&
+                     static_cast<long>(halo[S].size()) >= b.cols &&
+                     static_cast<long>(halo[W].size()) >= b.rows &&
+                     static_cast<long>(halo[E].size()) >= b.rows,
                  "halo buffers smaller than block faces");
   for (long r = 0; r < b.rows; ++r) {
     const long gj = b.row0 + r;
     if (gj == 0 || gj == b.n - 1) continue;  // fixed global border
     double* row = b.za + r * b.stride;
     const double* up_row =
-        r > 0 ? b.za + (r - 1) * b.stride : halo.north.data();
+        r > 0 ? b.za + (r - 1) * b.stride : halo[N].data();
     const double* down_row =
-        r < b.rows - 1 ? b.za + (r + 1) * b.stride : halo.south.data();
+        r < b.rows - 1 ? b.za + (r + 1) * b.stride : halo[S].data();
     for (long c = 0; c < b.cols; ++c) {
       const long gk = b.col0 + c;
       if (gk == 0 || gk == b.n - 1) continue;
       const double up = up_row[c];
       const double down = down_row[c];
-      const double left = c > 0 ? row[c - 1] : halo.west[static_cast<std::size_t>(r)];
+      const double left = c > 0 ? row[c - 1] : halo[W][static_cast<std::size_t>(r)];
       const double right =
-          c < b.cols - 1 ? row[c + 1] : halo.east[static_cast<std::size_t>(r)];
+          c < b.cols - 1 ? row[c + 1] : halo[E][static_cast<std::size_t>(r)];
       const double qa = down * coef_zr(gj, gk) + up * coef_zb(gj, gk) +
                         right * coef_zu(gj, gk) + left * coef_zv(gj, gk) +
                         coef_zz(gj, gk);
       row[c] += kRelax * (qa - row[c]);
     }
   }
-}
-
-int opposite(int dir) {
-  switch (dir) {
-    case N: return S;
-    case S: return N;
-    case W: return E;
-    case E: return W;
-    case NW: return SE;
-    case NE: return SW;
-    case SW: return NE;
-    case SE: return NW;
-  }
-  ORWL_CHECK_MSG(false, "bad direction " << dir);
-  return -1;
-}
-
-std::pair<int, int> dir_delta(int dir) {
-  switch (dir) {
-    case N: return {0, -1};
-    case S: return {0, +1};
-    case W: return {-1, 0};
-    case E: return {+1, 0};
-    case NW: return {-1, -1};
-    case NE: return {+1, -1};
-    case SW: return {-1, +1};
-    case SE: return {+1, +1};
-  }
-  ORWL_CHECK_MSG(false, "bad direction " << dir);
-  return {0, 0};
-}
-
-long face_elems(const Spec& spec, int dir) {
-  const long brows = spec.n / spec.by;
-  const long bcols = spec.n / spec.bx;
-  if (dir == N || dir == S) return bcols;
-  if (dir == W || dir == E) return brows;
-  return 1;  // corners
-}
-
-void copy_face(const double* za, long rows, long cols, int dir, double* out) {
-  switch (dir) {
-    case N: std::memcpy(out, za, static_cast<std::size_t>(cols) * 8); return;
-    case S:
-      std::memcpy(out, za + (rows - 1) * cols,
-                  static_cast<std::size_t>(cols) * 8);
-      return;
-    case W:
-      for (long r = 0; r < rows; ++r) out[r] = za[r * cols];
-      return;
-    case E:
-      for (long r = 0; r < rows; ++r) out[r] = za[r * cols + cols - 1];
-      return;
-    case NW: out[0] = za[0]; return;
-    case NE: out[0] = za[cols - 1]; return;
-    case SW: out[0] = za[(rows - 1) * cols]; return;
-    case SE: out[0] = za[(rows - 1) * cols + cols - 1]; return;
-  }
-  ORWL_CHECK_MSG(false, "bad direction " << dir);
 }
 
 std::vector<double> blocked_reference(const Spec& spec) {
@@ -121,10 +61,10 @@ std::vector<double> blocked_reference(const Spec& spec) {
   init_block(whole);
 
   Halo halo;
-  halo.north.resize(static_cast<std::size_t>(bcols));
-  halo.south.resize(static_cast<std::size_t>(bcols));
-  halo.west.resize(static_cast<std::size_t>(brows));
-  halo.east.resize(static_cast<std::size_t>(brows));
+  halo[N].resize(static_cast<std::size_t>(bcols));
+  halo[S].resize(static_cast<std::size_t>(bcols));
+  halo[W].resize(static_cast<std::size_t>(brows));
+  halo[E].resize(static_cast<std::size_t>(brows));
 
   for (int it = 0; it < spec.iterations; ++it) {
     prev = za;  // frontier snapshot (previous iteration)
@@ -139,13 +79,13 @@ std::vector<double> blocked_reference(const Spec& spec) {
           return prev[static_cast<std::size_t>(j * n + k)];
         };
         for (long c = 0; c < bcols; ++c) {
-          halo.north[static_cast<std::size_t>(c)] = prev_at(row0 - 1, col0 + c);
-          halo.south[static_cast<std::size_t>(c)] =
+          halo[N][static_cast<std::size_t>(c)] = prev_at(row0 - 1, col0 + c);
+          halo[S][static_cast<std::size_t>(c)] =
               prev_at(row0 + brows, col0 + c);
         }
         for (long r = 0; r < brows; ++r) {
-          halo.west[static_cast<std::size_t>(r)] = prev_at(row0 + r, col0 - 1);
-          halo.east[static_cast<std::size_t>(r)] =
+          halo[W][static_cast<std::size_t>(r)] = prev_at(row0 + r, col0 - 1);
+          halo[E][static_cast<std::size_t>(r)] =
               prev_at(row0 + r, col0 + bcols);
         }
         sweep_block(blk, halo);

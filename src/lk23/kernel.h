@@ -18,12 +18,17 @@
 // execution order, so ORWL and fork-join runs are bit-identical to the
 // blocked reference.
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
+#include "comm/patterns.h"
+
 namespace orwl::lk23 {
+
+/// The 8 frontier directions of the decomposition (paper Sec. III).
+using enum comm::Dir;
 
 /// Relaxation factor of the kernel.
 inline constexpr double kRelax = 0.175;
@@ -52,15 +57,12 @@ inline double initial_za(long j, long k) {
   return static_cast<double>(h & 1023ull) / 1024.0;
 }
 
-/// Frontier snapshot around a block (previous-iteration values). Only the
-/// four edges feed the 5-point stencil; the corners are carried because the
-/// ORWL decomposition exchanges all 8 directions (paper Sec. III) — they
-/// are validated but not consumed by the kernel.
-struct Halo {
-  std::vector<double> north, south;  ///< size = block cols
-  std::vector<double> west, east;    ///< size = block rows
-  double nw = 0, ne = 0, sw = 0, se = 0;
-};
+/// Frontier snapshot around a block (previous-iteration values), one
+/// buffer per comm::Dir holding that direction's face. Only the four edges
+/// feed the 5-point stencil; the corners are carried because the ORWL
+/// decomposition exchanges all 8 directions (paper Sec. III), and nothing
+/// reads them.
+using Halo = std::array<std::vector<double>, comm::kAllDirs>;
 
 /// Geometry of one block inside the global N×N matrix.
 struct BlockView {
@@ -83,33 +85,18 @@ struct Spec {
   long n = 256;        ///< global matrix is n×n doubles
   int iterations = 10;
   int bx = 1, by = 1;  ///< block grid (bx*by blocks); must divide n
+
+  /// The bx×by grid of (n/by)×(n/bx) blocks.
+  comm::BlockGrid grid() const { return {bx, by, n / by, n / bx}; }
 };
-
-/// The 8 frontier directions of the ORWL decomposition (paper Sec. III):
-/// every block exports one face per direction, an edge towards each axis
-/// neighbour and a corner towards each diagonal one.
-enum Dir : int { N = 0, S, W, E, NW, NE, SW, SE, kDirs };
-
-/// Opposite direction (N<->S, NW<->SE, ...).
-int opposite(int dir);
-
-/// Neighbour block delta for a direction: {dx, dy} with y growing south.
-std::pair<int, int> dir_delta(int dir);
-
-/// Number of doubles a block exports towards `dir` (edge length, or 1 for
-/// corners).
-long face_elems(const Spec& spec, int dir);
-
-/// Copy the face of a contiguous rows×cols block buffer towards `dir` into
-/// `out` (face_elems doubles).
-void copy_face(const double* za, long rows, long cols, int dir, double* out);
 
 /// Sequential *blocked* reference: same numerics as the parallel versions.
 /// Returns the final n×n za field (row major).
 std::vector<double> blocked_reference(const Spec& spec);
 
-/// Plain sequential GS sweep (no blocking) — the classic kernel, used by
-/// the quickstart and docs; NOT the oracle for the parallel versions.
+/// Plain sequential GS sweep (no blocking) — the classic kernel. Only
+/// lk23_kernel_test uses it, as a second oracle for sweep_block; it is NOT
+/// the oracle for the parallel versions.
 std::vector<double> sequential_kernel(long n, int iterations);
 
 /// Max |a - b| over two equally sized fields.

@@ -1,10 +1,11 @@
 #include "lk23/lk23_program.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <numeric>
 
-#include "comm/patterns.h"  // block_grid
+#include "comm/patterns.h"
 #include "support/assert.h"
 
 namespace orwl::lk23 {
@@ -29,73 +30,61 @@ ProgramDef define_lk23_program(Program& p, const Spec& spec,
 
   ProgramDef def;
   def.spec = spec;
-  const int B = spec.bx * spec.by;
-  const long brows = spec.n / spec.by;
-  const long bcols = spec.n / spec.bx;
+  const comm::BlockGrid g = spec.grid();
+  const int B = g.blocks();
   const long n = spec.n;
   const int T = spec.iterations;
-  const auto points_per_block = static_cast<double>(brows * bcols);
-
-  auto has_neighbour = [&](int b, int dir) {
-    const auto [dx, dy] = dir_delta(dir);
-    const int nx = b % spec.bx + dx;
-    const int ny = b / spec.bx + dy;
-    return nx >= 0 && ny >= 0 && nx < spec.bx && ny < spec.by;
-  };
-  auto neighbour_id = [&](int b, int dir) {
-    const auto [dx, dy] = dir_delta(dir);
-    return (b / spec.bx + dy) * spec.bx + (b % spec.bx + dx);
-  };
+  const auto points_per_block = static_cast<double>(g.brows * g.bcols);
 
   // --- locations -----------------------------------------------------------
   def.blocks.reserve(static_cast<std::size_t>(B));
   for (int b = 0; b < B; ++b)
     def.blocks.push_back(p.location<double>(
-        static_cast<std::size_t>(brows * bcols), "block" + std::to_string(b)));
+        static_cast<std::size_t>(g.brows * g.bcols),
+        "block" + std::to_string(b)));
   // Every block owns 8 frontier locations (paper Sec. III); exports at the
   // global border simply have no consumer.
-  std::vector<std::array<Location<double>, kDirs>> fronts(
+  std::vector<std::array<Location<double>, comm::kAllDirs>> fronts(
       static_cast<std::size_t>(B));
   for (int b = 0; b < B; ++b)
-    for (int d = 0; d < kDirs; ++d)
+    for (int d = 0; d < comm::kAllDirs; ++d)
       fronts[static_cast<std::size_t>(b)][static_cast<std::size_t>(d)] =
-          p.location<double>(static_cast<std::size_t>(face_elems(spec, d)),
+          p.location<double>(static_cast<std::size_t>(g.face_elems(d)),
                              "front" + std::to_string(b) + "d" +
                                  std::to_string(d));
 
   // --- main operations -----------------------------------------------------
   for (int b = 0; b < B; ++b) {
     const Location<double> block = def.blocks[static_cast<std::size_t>(b)];
-    const long row0 = (b / spec.bx) * brows;
-    const long col0 = (b % spec.bx) * bcols;
+    const long row0 = g.row0(b);
+    const long col0 = g.col0(b);
 
     // The halo reads, indexed by the direction the neighbour lies in.
-    std::array<Location<double>, kDirs> halo_src{};
+    std::array<Location<double>, comm::kAllDirs> halo_src{};
     TaskBuilder builder = p.task("main" + std::to_string(b));
     builder.writes(block, {.rank = kRankBlockWrite});
-    for (int d = 0; d < kDirs; ++d) {
-      if (!has_neighbour(b, d)) continue;
-      const int nb = neighbour_id(b, d);
+    for (int d = 0; d < comm::kAllDirs; ++d) {
+      const int nb = g.neighbour(b, d);
+      if (nb < 0) continue;
       // The neighbour in direction d exports towards us via its frontier
       // location for the opposite direction.
       halo_src[static_cast<std::size_t>(d)] =
           fronts[static_cast<std::size_t>(nb)]
-                [static_cast<std::size_t>(opposite(d))];
+                [static_cast<std::size_t>(comm::opposite(d))];
       builder.reads(halo_src[static_cast<std::size_t>(d)],
                     {.rank = kRankHaloRead});
     }
 
     Halo halo;
-    halo.north.resize(static_cast<std::size_t>(bcols));
-    halo.south.resize(static_cast<std::size_t>(bcols));
-    halo.west.resize(static_cast<std::size_t>(brows));
-    halo.east.resize(static_cast<std::size_t>(brows));
+    for (int d = 0; d < comm::kAllDirs; ++d)
+      halo[static_cast<std::size_t>(d)].resize(
+          static_cast<std::size_t>(g.face_elems(d)));
 
     builder.iterations(T + 1)  // round 0 initializes, rounds 1..T sweep
         .cost(points_per_block * flops_per_point,
               points_per_block * bytes_per_point)
-        .body([block, halo_src, halo, brows, bcols, row0, col0,
-               n](Step& s) mutable {
+        .body([block, halo_src, halo, brows = g.brows, bcols = g.bcols, row0,
+               col0, n](Step& s) mutable {
           if (s.first()) {
             // Initialize the block under the first write grant (owner
             // first touch).
@@ -104,28 +93,12 @@ ProgramDef define_lk23_program(Program& p, const Spec& spec,
             return;
           }
           // Gather the previous iteration's frontiers into the halo.
-          for (int d = 0; d < kDirs; ++d) {
+          for (int d = 0; d < comm::kAllDirs; ++d) {
             const Location<double> src = halo_src[static_cast<std::size_t>(d)];
             if (!src.valid()) continue;
             s.read(src, [&](std::span<const double> face) {
-              switch (d) {
-                case N: std::copy(face.begin(), face.end(),
-                                  halo.north.begin());
-                        break;
-                case S: std::copy(face.begin(), face.end(),
-                                  halo.south.begin());
-                        break;
-                case W: std::copy(face.begin(), face.end(),
-                                  halo.west.begin());
-                        break;
-                case E: std::copy(face.begin(), face.end(),
-                                  halo.east.begin());
-                        break;
-                case NW: halo.nw = face[0]; break;
-                case NE: halo.ne = face[0]; break;
-                case SW: halo.sw = face[0]; break;
-                case SE: halo.se = face[0]; break;
-              }
+              std::copy(face.begin(), face.end(),
+                        halo[static_cast<std::size_t>(d)].begin());
             });
           }
           // Sweep under the write grant.
@@ -136,7 +109,7 @@ ProgramDef define_lk23_program(Program& p, const Spec& spec,
 
   // --- frontier operations -------------------------------------------------
   for (int b = 0; b < B; ++b) {
-    for (int d = 0; d < kDirs; ++d) {
+    for (int d = 0; d < comm::kAllDirs; ++d) {
       const Location<double> block = def.blocks[static_cast<std::size_t>(b)];
       const Location<double> front =
           fronts[static_cast<std::size_t>(b)][static_cast<std::size_t>(d)];
@@ -148,10 +121,10 @@ ProgramDef define_lk23_program(Program& p, const Spec& spec,
           .iterations(T)
           // Copying the frontier is ~1 flop per byte moved, touched twice.
           .cost(face_bytes, 2.0 * face_bytes)
-          .body([block, front, brows, bcols, d,
+          .body([block, front, g, d,
                  face = std::vector<double>(front.count())](Step& s) mutable {
             s.read(block, [&](std::span<const double> za) {
-              copy_face(za.data(), brows, bcols, d, face.data());
+              g.copy_face(za.data(), g.bcols, d, face.data());
             });
             s.write(front, [&](std::span<double> out) {
               std::memcpy(out.data(), face.data(),
@@ -166,19 +139,16 @@ ProgramDef define_lk23_program(Program& p, const Spec& spec,
 }
 
 std::vector<double> fetch_field(Backend& backend, const ProgramDef& def) {
-  const Spec& spec = def.spec;
-  const long n = spec.n;
-  const long brows = n / spec.by;
-  const long bcols = n / spec.bx;
+  const comm::BlockGrid g = def.spec.grid();
+  const long n = def.spec.n;
   std::vector<double> za(static_cast<std::size_t>(n * n));
-  for (int b = 0; b < spec.bx * spec.by; ++b) {
-    const long row0 = (b / spec.bx) * brows;
-    const long col0 = (b % spec.bx) * bcols;
+  for (int b = 0; b < g.blocks(); ++b) {
     const std::vector<double> src =
         backend.fetch(def.blocks[static_cast<std::size_t>(b)]);
-    for (long r = 0; r < brows; ++r)
-      std::memcpy(za.data() + (row0 + r) * n + col0, src.data() + r * bcols,
-                  static_cast<std::size_t>(bcols) * sizeof(double));
+    for (long r = 0; r < g.brows; ++r)
+      std::memcpy(za.data() + (g.row0(b) + r) * n + g.col0(b),
+                  src.data() + r * g.bcols,
+                  static_cast<std::size_t>(g.bcols) * sizeof(double));
   }
   return za;
 }

@@ -15,22 +15,16 @@
 // against a closed-form sequential replay with identical summation order —
 // equality is exact.
 
-#include <array>
 #include <sstream>
 #include <vector>
 
-#include "comm/patterns.h"  // block_grid
 #include "support/assert.h"
 #include "workloads/builders.h"
+#include "workloads/grid.h"
 
 namespace orwl::workloads::detail {
 
 namespace {
-
-enum Dir { kN = 0, kS = 1, kW = 2, kE = 3 };
-constexpr int kDirX[] = {0, 0, -1, +1};
-constexpr int kDirY[] = {-1, +1, 0, 0};
-constexpr Dir kOpp[] = {kS, kN, kE, kW};
 
 /// Face element k published by task i in direction d at round r.
 double face_value(int i, int d, int r, long k) {
@@ -49,42 +43,36 @@ Built build_phaseshift(Program& p, const Params& params) {
   ORWL_CHECK_MSG(params.tasks >= 1 && params.size >= 1 &&
                      params.iterations >= 1,
                  "phaseshift needs tasks >= 1, size >= 1, iterations >= 1");
-  const auto [gx, gy] = comm::block_grid(params.tasks);
-  const int B = gx * gy;
+  // Only the grid's shape matters: faces hold `size` doubles each.
+  const comm::BlockGrid g = grid_for(params);
+  const int B = g.blocks();
   const int T = params.iterations;
   const int H = (T + 1) / 2;  // first transpose round; T == 1 has no phase B
   const auto elems = static_cast<std::size_t>(params.size);
   const auto bytes = static_cast<double>(elems * sizeof(double));
 
-  const auto neighbour = [gx, gy](int b, int d) -> int {
-    const int nx = b % gx + kDirX[d];
-    const int ny = b / gx + kDirY[d];
-    if (nx < 0 || ny < 0 || nx >= gx || ny >= gy) return -1;
-    return ny * gx + nx;
-  };
   // Transpose partner of block (x, y) is block (y, x) — defined when it
   // lies inside the (possibly non-square) grid and is not the block
   // itself. The relation is symmetric, so partners pair up.
-  const auto partner = [gx, gy, T, H](int b) -> int {
+  const auto partner = [g, T, H](int b) -> int {
     if (T <= H) return -1;  // no phase B rounds at all
-    const int x = b % gx;
-    const int y = b / gx;
-    if (x == y || x >= gy || y >= gx) return -1;
-    return x * gx + y;
+    const int x = b % g.bx;
+    const int y = b / g.bx;
+    if (x == y || x >= g.by || y >= g.bx) return -1;
+    return x * g.bx + y;
   };
 
   // Locations: per-direction faces (phase A) and the transpose chunk
   // (phase B) — disjoint sets, so at the shift both sides of every face
   // simply stop touching it and the primed chunk requests start being
   // consumed.
-  std::vector<std::array<Location<double>, 4>> faces(
-      static_cast<std::size_t>(B));
+  std::vector<Faces> faces(static_cast<std::size_t>(B));
   std::vector<Location<double>> chunks(static_cast<std::size_t>(B));
   std::vector<Location<double>> accs;
   accs.reserve(static_cast<std::size_t>(B));
   for (int b = 0; b < B; ++b) {
-    for (int d = 0; d < 4; ++d)
-      if (neighbour(b, d) >= 0)
+    for (int d = 0; d < comm::kAxisDirs; ++d)
+      if (g.neighbour(b, d) >= 0)
         faces[static_cast<std::size_t>(b)][static_cast<std::size_t>(d)] =
             p.location<double>(elems, "face" + std::to_string(b) + "d" +
                                           std::to_string(d));
@@ -95,18 +83,8 @@ Built build_phaseshift(Program& p, const Params& params) {
   }
 
   for (int b = 0; b < B; ++b) {
-    const std::array<Location<double>, 4> own =
-        faces[static_cast<std::size_t>(b)];
-    std::array<Location<double>, 4> halo{};
-    std::array<int, 4> halo_owner{-1, -1, -1, -1};
-    for (int d = 0; d < 4; ++d) {
-      const int nb = neighbour(b, d);
-      if (nb < 0) continue;
-      halo[static_cast<std::size_t>(d)] =
-          faces[static_cast<std::size_t>(nb)][static_cast<std::size_t>(
-              kOpp[d])];
-      halo_owner[static_cast<std::size_t>(d)] = nb;
-    }
+    const Faces own = faces[static_cast<std::size_t>(b)];
+    const Faces halo = halo_sources(faces, g, b);
     const int pb = partner(b);
     const Location<double> out_chunk = chunks[static_cast<std::size_t>(b)];
     const Location<double> in_chunk =
@@ -114,16 +92,12 @@ Built build_phaseshift(Program& p, const Params& params) {
     const Location<double> acc_loc = accs[static_cast<std::size_t>(b)];
 
     TaskBuilder builder = p.task("shift" + std::to_string(b));
-    for (int d = 0; d < 4; ++d)
-      if (own[static_cast<std::size_t>(d)].valid())
-        builder.writes(own[static_cast<std::size_t>(d)],
-                       {.rank = 0, .until_round = H});
+    for (const Location<double> f : own)
+      if (f.valid()) builder.writes(f, {.rank = 0, .until_round = H});
     if (out_chunk.valid())
       builder.writes(out_chunk, {.rank = 0, .from_round = H});
-    for (int d = 0; d < 4; ++d)
-      if (halo[static_cast<std::size_t>(d)].valid())
-        builder.reads(halo[static_cast<std::size_t>(d)],
-                      {.rank = 1, .until_round = H});
+    for (const Location<double> f : halo)
+      if (f.valid()) builder.reads(f, {.rank = 1, .until_round = H});
     if (in_chunk.valid())
       builder.reads(in_chunk, {.rank = 1, .from_round = H});
     builder.writes(acc_loc, {.rank = 2});
@@ -135,7 +109,7 @@ Built build_phaseshift(Program& p, const Params& params) {
           if (s.first()) acc = 0.0;
           const int r = s.round();
           if (r < H) {
-            for (int d = 0; d < 4; ++d) {
+            for (int d = 0; d < comm::kAxisDirs; ++d) {
               const Location<double> f = own[static_cast<std::size_t>(d)];
               if (!f.valid()) continue;
               s.write(f, [&](std::span<double> outv) {
@@ -143,8 +117,7 @@ Built build_phaseshift(Program& p, const Params& params) {
                   outv[k] = face_value(b, d, r, static_cast<long>(k));
               });
             }
-            for (int d = 0; d < 4; ++d) {
-              const Location<double> f = halo[static_cast<std::size_t>(d)];
+            for (const Location<double> f : halo) {
               if (!f.valid()) continue;
               s.read(f, [&](std::span<const double> in) {
                 for (const double v : in) acc += v;
@@ -170,22 +143,23 @@ Built build_phaseshift(Program& p, const Params& params) {
   built.num_tasks = B;
   comm::CommMatrix predicted(B);
   for (int b = 0; b < B; ++b) {
-    for (int d = 0; d < 4; ++d)
-      if (neighbour(b, d) >= 0) predicted.add(b, neighbour(b, d), bytes);
+    for (int d = 0; d < comm::kAxisDirs; ++d)
+      if (g.neighbour(b, d) >= 0) predicted.add(b, g.neighbour(b, d), bytes);
     if (partner(b) >= 0) predicted.add(b, partner(b), bytes);
   }
   built.predicted = predicted;
-  built.verify = [B, T, H, elems, neighbour, partner, accs](
+  built.verify = [g, T, H, elems, partner, accs](
                      Backend& backend, std::string& why) {
-    for (int b = 0; b < B; ++b) {
+    for (int b = 0; b < g.blocks(); ++b) {
       double want = 0.0;
       for (int r = 0; r < T; ++r) {
         if (r < H) {
-          for (int d = 0; d < 4; ++d) {
-            const int nb = neighbour(b, d);
+          for (int d = 0; d < comm::kAxisDirs; ++d) {
+            const int nb = g.neighbour(b, d);
             if (nb < 0) continue;
             for (std::size_t k = 0; k < elems; ++k)
-              want += face_value(nb, kOpp[d], r, static_cast<long>(k));
+              want += face_value(nb, comm::opposite(d), r,
+                                 static_cast<long>(k));
           }
         } else if (partner(b) >= 0) {
           for (std::size_t k = 0; k < elems; ++k)

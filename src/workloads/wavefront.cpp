@@ -10,15 +10,13 @@
 // east/south pairs populated, i.e. exactly comm::stencil_matrix with
 // corners off (each undirected pair appears once).
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
-#include "comm/patterns.h"
 #include "support/assert.h"
 #include "workloads/builders.h"
+#include "workloads/grid.h"
 
 namespace orwl::workloads::detail {
 
@@ -88,28 +86,10 @@ void sweep_block(double* h, long brows, long bcols, const double* wcol,
   }
 }
 
-struct Geometry {
-  int gx = 1, gy = 1;
-  long brows = 1, bcols = 1;
-  long rows = 1, cols = 1;
-};
-
-Geometry geometry(const Params& params) {
-  Geometry g;
-  const auto [gx, gy] = comm::block_grid(params.tasks);
-  g.gx = gx;
-  g.gy = gy;
-  g.bcols = std::max<long>(2, params.size / gx);
-  g.brows = std::max<long>(2, params.size / gy);
-  g.rows = g.brows * gy;
-  g.cols = g.bcols * gx;
-  return g;
-}
-
 /// Sequential oracle: per iteration one row-major sweep over the global
 /// field; west/north operands are the values already updated this sweep.
-std::vector<double> reference(const Geometry& g, int iterations) {
-  const long R = g.rows, C = g.cols;
+std::vector<double> reference(const comm::BlockGrid& g, int iterations) {
+  const long R = g.rows(), C = g.cols();
   std::vector<double> h(static_cast<std::size_t>(R * C));
   for (long i = 0; i < R; ++i)
     for (long j = 0; j < C; ++j)
@@ -136,67 +116,63 @@ Built build_wavefront(Program& p, const Params& params) {
   ORWL_CHECK_MSG(params.tasks >= 1 && params.size >= 2 &&
                      params.iterations >= 1,
                  "wavefront needs tasks >= 1, size >= 2, iterations >= 1");
-  const Geometry g = geometry(params);
-  const int B = g.gx * g.gy;
+  const comm::BlockGrid g = grid_for(params);
+  const int B = g.blocks();
   const int T = params.iterations;
   const long brows = g.brows, bcols = g.bcols;
 
   // Locations: the block fields plus an east edge (read by the east
   // neighbour) and a south edge (read by the south neighbour) where such a
-  // neighbour exists.
-  std::vector<Location<double>> blocks, east, south;
+  // neighbour exists. They are the blocks' E and S faces.
+  std::vector<Location<double>> blocks;
   blocks.reserve(static_cast<std::size_t>(B));
-  east.resize(static_cast<std::size_t>(B));
-  south.resize(static_cast<std::size_t>(B));
+  std::vector<Faces> faces(static_cast<std::size_t>(B));
   for (int b = 0; b < B; ++b) {
     blocks.push_back(p.location<double>(
         static_cast<std::size_t>(brows * bcols), "h" + std::to_string(b)));
-    const int x = b % g.gx, y = b / g.gx;
-    if (x + 1 < g.gx)
-      east[static_cast<std::size_t>(b)] = p.location<double>(
-          static_cast<std::size_t>(brows), "east" + std::to_string(b));
-    if (y + 1 < g.gy)
-      south[static_cast<std::size_t>(b)] = p.location<double>(
-          static_cast<std::size_t>(bcols), "south" + std::to_string(b));
+    Faces& own = faces[static_cast<std::size_t>(b)];
+    if (g.neighbour(b, E) >= 0)
+      own[E] = p.location<double>(static_cast<std::size_t>(brows),
+                                  "east" + std::to_string(b));
+    if (g.neighbour(b, S) >= 0)
+      own[S] = p.location<double>(static_cast<std::size_t>(bcols),
+                                  "south" + std::to_string(b));
   }
 
   const auto points = static_cast<double>(brows * bcols);
   for (int b = 0; b < B; ++b) {
-    const int x = b % g.gx, y = b / g.gx;
-    const long row0 = y * brows;
-    const long col0 = x * bcols;
+    const long row0 = g.row0(b);
+    const long col0 = g.col0(b);
     const Location<double> block = blocks[static_cast<std::size_t>(b)];
-    const Location<double> my_east = east[static_cast<std::size_t>(b)];
-    const Location<double> my_south = south[static_cast<std::size_t>(b)];
-    const Location<double> in_west =
-        x > 0 ? east[static_cast<std::size_t>(b - 1)] : Location<double>{};
-    const Location<double> in_north =
-        y > 0 ? south[static_cast<std::size_t>(b - g.gx)]
-              : Location<double>{};
+    const Faces own = faces[static_cast<std::size_t>(b)];
+    // Incoming edges: the west neighbour's E face and the north
+    // neighbour's S face.
+    const Faces in = halo_sources(faces, g, b);
 
     TaskBuilder builder = p.task("wave" + std::to_string(b));
     builder.writes(block, {.rank = 0});
-    if (my_east.valid()) builder.writes(my_east, {.rank = 1});
-    if (my_south.valid()) builder.writes(my_south, {.rank = 1});
-    if (in_west.valid()) builder.reads(in_west, {.rank = 2});
-    if (in_north.valid()) builder.reads(in_north, {.rank = 2});
+    if (own[E].valid()) builder.writes(own[E], {.rank = 1});
+    if (own[S].valid()) builder.writes(own[S], {.rank = 1});
+    if (in[W].valid()) builder.reads(in[W], {.rank = 2});
+    if (in[N].valid()) builder.reads(in[N], {.rank = 2});
 
-    // West operands of the block's first column and north operands of its
-    // first row: the neighbour's edge, copied in every round, or else the
-    // global boundary feed, which never changes.
-    std::vector<double> wcol(static_cast<std::size_t>(brows));
-    std::vector<double> nrow(static_cast<std::size_t>(bcols));
-    if (!in_west.valid())
+    // The W halo holds the west operands of the block's first column and
+    // the N halo the north operands of its first row: the neighbour's
+    // edge, copied in every round, or else the global boundary feed, which
+    // never changes.
+    Halos halo;
+    halo[W].resize(static_cast<std::size_t>(brows));
+    halo[N].resize(static_cast<std::size_t>(bcols));
+    if (!in[W].valid())
       for (long r = 0; r < brows; ++r)
-        wcol[static_cast<std::size_t>(r)] = west_boundary(row0 + r);
-    if (!in_north.valid())
+        halo[W][static_cast<std::size_t>(r)] = west_boundary(row0 + r);
+    if (!in[N].valid())
       for (long c = 0; c < bcols; ++c)
-        nrow[static_cast<std::size_t>(c)] = north_boundary(col0 + c);
+        halo[N][static_cast<std::size_t>(c)] = north_boundary(col0 + c);
 
     builder.iterations(T)
         .cost(3.0 * points, 16.0 * points)
-        .body([=, wcol = std::move(wcol),
-               nrow = std::move(nrow)](Step& s) mutable {
+        .body([=, halo = std::move(halo)](Step& s) mutable {
           const auto at = [bcols](long r, long c) {
             return static_cast<std::size_t>(r * bcols + c);
           };
@@ -211,63 +187,20 @@ Built build_wavefront(Program& p, const Params& params) {
                 cur[at(r, c)] = init_h(row0 + r, col0 + c);
           // Incoming edges carry the SAME iteration's updated values — the
           // FIFO alternation staggers the blocks into a wavefront.
-          if (in_west.valid())
-            s.read(in_west, [&](std::span<const double> edge) {
-              std::copy(edge.begin(), edge.end(), wcol.begin());
-            });
-          if (in_north.valid())
-            s.read(in_north, [&](std::span<const double> edge) {
-              std::copy(edge.begin(), edge.end(), nrow.begin());
-            });
-          sweep_block(cur.data(), brows, bcols, wcol.data(), nrow.data());
-          if (my_east.valid())
-            s.write(my_east, [&](std::span<double> out) {
-              for (long r = 0; r < brows; ++r)
-                out[static_cast<std::size_t>(r)] = cur[at(r, bcols - 1)];
-            });
-          if (my_south.valid())
-            s.write(my_south, [&](std::span<double> out) {
-              for (long c = 0; c < bcols; ++c)
-                out[static_cast<std::size_t>(c)] = cur[at(brows - 1, c)];
-            });
+          gather_halos(s, in, halo);
+          sweep_block(cur.data(), brows, bcols, halo[W].data(), halo[N].data());
+          export_faces(s, g, own, cur.data());
         });
   }
 
   Built built;
   built.num_tasks = B;
-  comm::StencilSpec st;
-  st.blocks_x = g.gx;
-  st.blocks_y = g.gy;
-  st.block_rows = static_cast<int>(brows);
-  st.block_cols = static_cast<int>(bcols);
-  st.corners = false;
-  built.predicted = comm::stencil_matrix(st);
+  built.predicted = comm::stencil_matrix(g, /*corners=*/false);
   // Exact: the blocked sweep performs the reference's operations in the
   // reference's order, so any difference at all is a bug.
   built.verify = [g, T, blocks](Backend& backend, std::string& why) {
-    const std::vector<double> ref = reference(g, T);
-    for (int b = 0; b < g.gx * g.gy; ++b) {
-      const long row0 = (b / g.gx) * g.brows;
-      const long col0 = (b % g.gx) * g.bcols;
-      const std::vector<double> got =
-          backend.fetch(blocks[static_cast<std::size_t>(b)]);
-      for (long r = 0; r < g.brows; ++r)
-        for (long c = 0; c < g.bcols; ++c) {
-          const double want =
-              ref[static_cast<std::size_t>((row0 + r) * g.cols + col0 + c)];
-          const double have =
-              got[static_cast<std::size_t>(r * g.bcols + c)];
-          if (have == want) continue;
-          char msg[256];
-          std::snprintf(msg, sizeof msg,
-                        "block %d row %ld column %ld differs from the "
-                        "wavefront reference: got %.17g, want %.17g",
-                        b, r, c, have, want);
-          why = msg;
-          return false;
-        }
-    }
-    return true;
+    return verify_blocks(backend, g, blocks, reference(g, T),
+                         "wavefront reference", why);
   };
   return built;
 }

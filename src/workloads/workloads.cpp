@@ -6,6 +6,7 @@
 #include "lk23/lk23_program.h"
 #include "support/assert.h"
 #include "workloads/builders.h"
+#include "workloads/grid.h"
 
 namespace orwl::workloads {
 
@@ -59,15 +60,11 @@ Built build_lk23(Program& p, const Params& params) {
   Built built;
   built.num_tasks = def.num_tasks;
   built.predicted = flow_pattern_matrix(p);
+  // Exact: bit-identical to the blocked reference by design (Sec. III).
   built.verify = [def](Backend& backend, std::string& why) {
-    const std::vector<double> ref = lk23::blocked_reference(def.spec);
-    const std::vector<double> got = lk23::fetch_field(backend, def);
-    const double diff = lk23::max_abs_diff(got, ref);
-    if (diff == 0.0) return true;  // bit-identical by design (Sec. III)
-    std::ostringstream os;
-    os << "max |err| vs blocked reference = " << diff;
-    why = os.str();
-    return false;
+    return verify_blocks(backend, def.spec.grid(), def.blocks,
+                         lk23::blocked_reference(def.spec),
+                         "blocked reference", why);
   };
   return built;
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "comm/comm_matrix.h"
+#include "comm/patterns.h"
 #include "lk23/kernel.h"
 #include "lk23/lk23_program.h"
 #include "orwl/backend.h"
@@ -124,16 +125,13 @@ TEST(BackendParity, Lk23ProgramMatchesRuntimeBuild) {
   // last round, so no granted request is left dangling. Mains acquire
   // their block every round (T+1) plus each halo read T times; each of the
   // 8 frontier ops per block acquires twice per round for T rounds.
-  const int B = spec.bx * spec.by;
+  const comm::BlockGrid g = spec.grid();
+  const int B = g.blocks();
   std::uint64_t expected = 0;
   for (int b = 0; b < B; ++b) {
     int neighbours = 0;
-    for (int d = 0; d < lk23::kDirs; ++d) {
-      const auto [dx, dy] = lk23::dir_delta(d);
-      const int nx = b % spec.bx + dx;
-      const int ny = b / spec.bx + dy;
-      if (nx >= 0 && ny >= 0 && nx < spec.bx && ny < spec.by) ++neighbours;
-    }
+    for (int d = 0; d < comm::kAllDirs; ++d)
+      if (g.neighbour(b, d) >= 0) ++neighbours;
     expected += static_cast<std::uint64_t>(spec.iterations + 1) +
                 static_cast<std::uint64_t>(spec.iterations) *
                     static_cast<std::uint64_t>(neighbours);

@@ -201,15 +201,5 @@ INSTANTIATE_TEST_SUITE_P(
                       GeomParam{64, 8, 8, 2}, GeomParam{48, 3, 2, 4},
                       GeomParam{64, 2, 4, 7}, GeomParam{16, 4, 4, 10}));
 
-TEST(Directions, OppositeIsInvolution) {
-  for (int d = 0; d < kDirs; ++d) {
-    EXPECT_EQ(opposite(opposite(d)), d);
-    const auto [dx, dy] = dir_delta(d);
-    const auto [ox, oy] = dir_delta(opposite(d));
-    EXPECT_EQ(dx, -ox);
-    EXPECT_EQ(dy, -oy);
-  }
-}
-
 }  // namespace
 }  // namespace orwl::lk23

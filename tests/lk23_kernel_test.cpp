@@ -112,10 +112,10 @@ TEST(SweepBlock, RespectsHaloValues) {
   za[2] = initial_za(2, 1);
   za[3] = initial_za(2, 2);
   Halo halo;
-  halo.north = {initial_za(0, 1), initial_za(0, 2)};
-  halo.south = {initial_za(3, 1), initial_za(3, 2)};
-  halo.west = {initial_za(1, 0), initial_za(2, 0)};
-  halo.east = {initial_za(1, 3), initial_za(2, 3)};
+  halo[N] = {initial_za(0, 1), initial_za(0, 2)};
+  halo[S] = {initial_za(3, 1), initial_za(3, 2)};
+  halo[W] = {initial_za(1, 0), initial_za(2, 0)};
+  halo[E] = {initial_za(1, 3), initial_za(2, 3)};
   BlockView blk{za.data(), 2, 2, 2, 1, 1, n};
   sweep_block(blk, halo);
 

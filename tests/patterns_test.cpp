@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <utility>
+#include <vector>
 
 #include "comm/patterns.h"
 #include "support/assert.h"
@@ -36,74 +37,98 @@ TEST(BlockGrid, RejectsNoTasks) {
   EXPECT_THROW(block_grid(0), ContractError);
 }
 
+TEST(Directions, OppositeIsInvolution) {
+  // On a 3x3 grid, stepping to a neighbour and back again returns home.
+  const BlockGrid g{3, 3, 4, 4};
+  for (int d = 0; d < kAllDirs; ++d) {
+    EXPECT_EQ(opposite(opposite(d)), d);
+    EXPECT_NE(opposite(d), d);
+    for (int b = 0; b < g.blocks(); ++b) {
+      const int nb = g.neighbour(b, d);
+      if (nb < 0) continue;
+      EXPECT_EQ(g.neighbour(nb, opposite(d)), b) << "block " << b << ", " << d;
+    }
+  }
+}
+
+TEST(BlockGrid, NeighboursOfCentreAndBorderBlocks) {
+  // 0 1 2
+  // 3 4 5
+  // 6 7 8
+  const BlockGrid g{3, 3, 4, 4};
+  const int centre[kAllDirs] = {1, 7, 3, 5, 0, 2, 6, 8};
+  const int north_edge[kAllDirs] = {-1, 4, 0, 2, -1, -1, 3, 5};
+  const int west_edge[kAllDirs] = {0, 6, -1, 4, -1, 1, -1, 7};
+  const int se_corner[kAllDirs] = {5, -1, 7, -1, 4, -1, -1, -1};
+  for (int d = 0; d < kAllDirs; ++d) {
+    EXPECT_EQ(g.neighbour(4, d), centre[d]) << d;
+    EXPECT_EQ(g.neighbour(1, d), north_edge[d]) << d;
+    EXPECT_EQ(g.neighbour(3, d), west_edge[d]) << d;
+    EXPECT_EQ(g.neighbour(8, d), se_corner[d]) << d;
+  }
+  EXPECT_EQ(g.rows(), 12);
+  EXPECT_EQ(g.cols(), 12);
+  EXPECT_EQ(g.row0(5), 4);
+  EXPECT_EQ(g.col0(5), 8);
+}
+
+TEST(BlockGrid, CopyFaceTakesEachEdgeAndCorner) {
+  // A 3x4 block at (1, 2) of a 5x7 field whose element (r, c) is 10r + c:
+  // the stride is wider than the block.
+  const long stride = 7;
+  std::vector<double> field(5 * stride);
+  for (long r = 0; r < 5; ++r)
+    for (long c = 0; c < stride; ++c)
+      field[static_cast<std::size_t>(r * stride + c)] =
+          static_cast<double>(10 * r + c);
+  const BlockGrid g{1, 1, 3, 4};
+  const double* block = field.data() + 1 * stride + 2;
+  const std::vector<std::vector<double>> want = {
+      {12, 13, 14, 15}, {32, 33, 34, 35}, {12, 22, 32}, {15, 25, 35},
+      {12}, {15}, {32}, {35}};
+  for (int d = 0; d < kAllDirs; ++d) {
+    const std::vector<double>& face = want[static_cast<std::size_t>(d)];
+    ASSERT_EQ(g.face_elems(d), static_cast<long>(face.size()));
+    std::vector<double> out(face.size(), -1.0);
+    g.copy_face(block, stride, d, out.data());
+    EXPECT_EQ(out, face) << "direction " << d;
+  }
+}
+
 TEST(Stencil, SingleBlockHasNoEdges) {
-  StencilSpec s;
-  s.blocks_x = 1;
-  s.blocks_y = 1;
-  const CommMatrix m = stencil_matrix(s);
+  const CommMatrix m = stencil_matrix(BlockGrid{1, 1, 1, 1});
   EXPECT_EQ(m.order(), 1);
   EXPECT_EQ(m.total_volume(), 0.0);
 }
 
-TEST(Stencil, TwoByTwoNonPeriodic) {
-  StencilSpec s;
-  s.blocks_x = 2;
-  s.blocks_y = 2;
-  s.block_rows = 4;
-  s.block_cols = 8;
-  s.elem_bytes = 8;
-  s.corners = true;
-  const CommMatrix m = stencil_matrix(s);
+TEST(Stencil, TwoByTwo) {
+  const CommMatrix m = stencil_matrix({2, 2, 4, 8});
   EXPECT_EQ(m.order(), 4);
-  // Horizontal neighbours exchange block_rows elems: 4*8 = 32 bytes.
+  // Horizontal neighbours exchange brows doubles: 4*8 = 32 bytes.
   EXPECT_EQ(m.at(0, 1), 32.0);
   EXPECT_EQ(m.at(2, 3), 32.0);
-  // Vertical neighbours exchange block_cols elems: 8*8 = 64 bytes.
+  // Vertical neighbours exchange bcols doubles: 8*8 = 64 bytes.
   EXPECT_EQ(m.at(0, 2), 64.0);
   EXPECT_EQ(m.at(1, 3), 64.0);
-  // Diagonals exchange one element = 8 bytes.
+  // Diagonals exchange one double = 8 bytes.
   EXPECT_EQ(m.at(0, 3), 8.0);
   EXPECT_EQ(m.at(1, 2), 8.0);
 }
 
 TEST(Stencil, CornersCanBeDisabled) {
-  StencilSpec s;
-  s.blocks_x = 2;
-  s.blocks_y = 2;
-  s.corners = false;
-  const CommMatrix m = stencil_matrix(s);
+  const CommMatrix m = stencil_matrix({2, 2, 1, 1}, /*corners=*/false);
   EXPECT_EQ(m.at(0, 3), 0.0);
   EXPECT_EQ(m.at(1, 2), 0.0);
   EXPECT_GT(m.at(0, 1), 0.0);
 }
 
-TEST(Stencil, PeriodicWrapsAround) {
-  StencilSpec s;
-  s.blocks_x = 4;
-  s.blocks_y = 1;
-  s.block_rows = 2;
-  s.elem_bytes = 8;
-  s.periodic = true;
-  s.corners = false;
-  const CommMatrix m = stencil_matrix(s);
-  EXPECT_GT(m.at(0, 3), 0.0) << "periodic edge 3 -> 0 missing";
-}
-
 TEST(Stencil, NonPeriodicBorderHasNoWrap) {
-  StencilSpec s;
-  s.blocks_x = 4;
-  s.blocks_y = 1;
-  s.periodic = false;
-  s.corners = false;
-  const CommMatrix m = stencil_matrix(s);
+  const CommMatrix m = stencil_matrix({4, 1, 1, 1}, /*corners=*/false);
   EXPECT_EQ(m.at(0, 3), 0.0);
 }
 
 TEST(Stencil, InteriorBlockDegreeIs8) {
-  StencilSpec s;
-  s.blocks_x = 3;
-  s.blocks_y = 3;
-  const CommMatrix m = stencil_matrix(s);
+  const CommMatrix m = stencil_matrix({3, 3, 1, 1});
   int degree = 0;
   for (int j = 0; j < 9; ++j)
     if (j != 4 && m.at(4, j) > 0.0) ++degree;
@@ -111,9 +136,7 @@ TEST(Stencil, InteriorBlockDegreeIs8) {
 }
 
 TEST(Stencil, RejectsBadSpec) {
-  StencilSpec s;
-  s.blocks_x = 0;
-  EXPECT_THROW(stencil_matrix(s), ContractError);
+  EXPECT_THROW(stencil_matrix({0, 1, 1, 1}), ContractError);
 }
 
 TEST(Ring, NonPeriodicChain) {

@@ -85,12 +85,7 @@ class StencilProperty : public ::testing::TestWithParam<int> {};
 TEST_P(StencilProperty, KeepsTrafficInsidePackages) {
   const int blocks = GetParam();
   const auto topo = topo::Topology::synthetic("pack:4 core:4 pu:1");
-  comm::StencilSpec spec;
-  spec.blocks_x = blocks;
-  spec.blocks_y = blocks;
-  spec.block_rows = 128;
-  spec.block_cols = 128;
-  const auto m = comm::stencil_matrix(spec);
+  const auto m = comm::stencil_matrix({blocks, blocks, 128, 128});
   const Result r = map_threads(topo, m, no_control());
   comm::validate_mapping(topo, r.compute_pu, r.threads_per_leaf);
 

@@ -49,12 +49,7 @@ TEST(MapThreads, ClusteredThreadsShareAPackage) {
 
 TEST(MapThreads, StencilBeatsNaiveOrderOnHopBytes) {
   const auto topo = topo::Topology::synthetic("pack:4 core:4 pu:1");
-  comm::StencilSpec spec;
-  spec.blocks_x = 4;
-  spec.blocks_y = 4;
-  spec.block_rows = 64;
-  spec.block_cols = 64;
-  const auto m = comm::stencil_matrix(spec);
+  const auto m = comm::stencil_matrix({4, 4, 64, 64});
   const Result r = map_threads(topo, m, no_control());
   comm::validate_mapping(topo, r.compute_pu, 1);
 

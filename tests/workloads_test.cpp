@@ -215,7 +215,9 @@ TEST(Workloads, OversubscriptionStressTasksFarBeyondPUsBlocking) {
 //   three overlap) and then three single rows;
 // - heights 8/16, 5/33, 2 and 3/7/11 leave 0, 1, 2 and 3 rows after
 //   wavefront's bands of four.
-// wavefront needs at least one iteration.
+// wavefront needs at least one iteration. phaseshift's faces are sized by
+// `size`, not by the grid, so it runs one small size; at 1 iteration it
+// has no transpose phase, at 2 and 4 it runs both phases.
 TEST(Workloads, GridWorkloadsMatchReferenceOnEveryGeometry) {
   const auto topo = topo::Topology::synthetic("pack:2 core:2 pu:1");
   const auto check = [](const char* workload, const Params& params,
@@ -226,25 +228,30 @@ TEST(Workloads, GridWorkloadsMatchReferenceOnEveryGeometry) {
     std::string why;
     EXPECT_TRUE(built.verify(backend, why)) << name << ": " << why;
   };
+  const auto check_both = [&](const char* workload, const Params& params) {
+    SCOPED_TRACE(std::string(workload) + ", tasks " +
+                 std::to_string(params.tasks) + ", size " +
+                 std::to_string(params.size) + ", iterations " +
+                 std::to_string(params.iterations));
+    RuntimeBackend runtime;
+    check(workload, params, runtime, "runtime");
+    SimBackend emulating(topo.clone(), sim::LinkCost::defaults_for(topo),
+                         {.emulate = true});
+    check(workload, params, emulating, "emulating sim");
+  };
   for (const char* workload : {"stencil2d", "wavefront"})
     for (const int tasks : {1, 2, 3, 4, 6, 9})
       for (const long size : {2, 3, 5, 7, 16, 33})
         for (const int iterations : {0, 1, 3}) {
           if (iterations == 0 && std::string(workload) == "wavefront")
             continue;
-          const Params params{
-              .tasks = tasks, .size = size, .iterations = iterations};
-          SCOPED_TRACE(std::string(workload) + ", tasks " +
-                       std::to_string(tasks) + ", size " +
-                       std::to_string(size) + ", iterations " +
-                       std::to_string(iterations));
-          RuntimeBackend runtime;
-          check(workload, params, runtime, "runtime");
-          SimBackend emulating(topo.clone(),
-                               sim::LinkCost::defaults_for(topo),
-                               {.emulate = true});
-          check(workload, params, emulating, "emulating sim");
+          check_both(workload, {.tasks = tasks, .size = size,
+                                .iterations = iterations});
         }
+  for (const int tasks : {1, 2, 3, 4, 6, 9})
+    for (const int iterations : {1, 2, 4})
+      check_both("phaseshift",
+                 {.tasks = tasks, .size = 5, .iterations = iterations});
 }
 
 // Every declared access of a grid workload is granted once per round it

@@ -30,11 +30,17 @@ taken as a fraction of the parent's median:
   regression     otherwise.
 
 Runs that exit non-zero, print no result, or count failed executions are
-flagged. BENCHMARK.json, at the root of the checkout holding this script,
-is only read. Exit status: 1 on a regression or a flagged run, else 0.
+flagged. Each run also records the host's steal time: the share of the
+`cpu` line's jiffies in /proc/stat that went to steal between the run's
+start and end, saved as "steal" and printed on the progress line. After
+the tables, runs taken at STEAL_RERUN or more are listed as "re-run pair
+i"; the verdict ignores steal. A file saved without it reports "steal n/a".
+BENCHMARK.json, at the root of the checkout holding this script, is only
+read. Exit status: 1 on a regression or a flagged run, else 0.
 """
 
 import argparse
+import io
 import json
 import os
 import statistics
@@ -44,6 +50,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 GAIN_SHARE = 0.9
+# On this kind of shared VM, runs taken at 12% steal or more read 1.2-7x
+# slower on either side of an A/B.
+STEAL_RERUN = 0.12
 
 
 def load_benchmark():
@@ -90,6 +99,27 @@ def compare(parent, change, better, bound):
     else:
         verdict = "regression"
     return p, c, won, len(pairs), verdict
+
+
+def cpu_times(stat):
+    """user, nice, system, idle, iowait, irq, softirq and steal jiffies from
+    the `cpu` line of /proc/stat's text."""
+    for line in stat.splitlines():
+        if line.startswith("cpu "):
+            return [int(v) for v in line.split()[1:9]]
+    raise ValueError("no cpu line")
+
+
+def steal_share(before, after):
+    """Steal's share of the jiffies between two cpu_times samples."""
+    delta = [a - b for a, b in zip(after, before)]
+    total = sum(delta)
+    return delta[7] / total if total > 0 else 0.0
+
+
+def read_cpu_times():
+    with open("/proc/stat") as f:
+        return cpu_times(f.read())
 
 
 def run_problem(run):
@@ -145,6 +175,12 @@ def report(runs, bench, out=sys.stdout):
             status = 1
             print(f"FLAGGED {r['workload']} {r['side']} pair {r['pair']} "
                   f"(seed {r['seed']}): {why}", file=out)
+    if not any("steal" in r for r in runs):
+        print("steal n/a", file=out)
+    for r in runs:
+        if r.get("steal", 0.0) >= STEAL_RERUN:
+            print(f"re-run pair {r['pair']}: {r['workload']} {r['side']} ran "
+                  f"at {r['steal']:.1%} steal", file=out)
     return status
 
 
@@ -161,13 +197,15 @@ def side_env(side):
 def run_once(bench, checkout, side, workload, seed, seconds):
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(seconds), "--trace", "0"]
+    before = read_cpu_times()
     proc = subprocess.run(cmd, cwd=checkout, env=side_env(side),
                           stdout=subprocess.PIPE, text=True)
+    steal = steal_share(before, read_cpu_times())
     try:
         result = json.loads(proc.stdout.strip().split("\n")[-1])
     except (ValueError, IndexError):
         result = None
-    return proc.returncode, result
+    return proc.returncode, result, steal
 
 
 def measure(args, bench):
@@ -186,15 +224,17 @@ def measure(args, bench):
         for pair in range(1, args.pairs + 1):
             order = SIDES if pair % 2 == 1 else SIDES[::-1]
             for side in order:
-                code, result = run_once(bench, dirs[side], side, wl, pair,
-                                        args.seconds)
+                code, result, steal = run_once(bench, dirs[side], side, wl,
+                                               pair, args.seconds)
                 saved["runs"].append({"workload": wl, "side": side,
                                       "pair": pair, "seed": pair,
-                                      "exit": code, "result": result})
+                                      "exit": code, "result": result,
+                                      "steal": steal})
                 exec_s = (result or {}).get("metrics", {}).get(
                     "exec_s", {}).get("value")
                 print(f"bench_diff: {wl} pair {pair} {side}: exit {code}, "
-                      f"exec_s {exec_s}", file=sys.stderr, flush=True)
+                      f"exec_s {exec_s}, steal {steal:.1%}", file=sys.stderr,
+                      flush=True)
                 if args.out:
                     with open(args.out, "w") as f:
                         json.dump(saved, f, indent=1)
@@ -263,6 +303,28 @@ def self_test(bench):
         check("a failed execution: status", report(runs, bench, sink), 1)
         runs[3] = fake("change", 2, exit_code=3)
         check("a non-zero exit: status", report(runs, bench, sink), 1)
+
+    # user 100, system 50, idle 700 and steal 150 jiffies between the lines.
+    check("steal share of two cpu lines",
+          steal_share(cpu_times("cpu  100 0 50 800 10 0 0 40 0 0\n"
+                                "cpu0 1 2 3 4 5 6 7 8 9 10"),
+                      cpu_times("intr 1\ncpu  200 0 100 1500 10 0 0 190 0 0")),
+          0.15)
+
+    def reruns(runs):
+        text = io.StringIO()
+        report(runs, bench, text)
+        return [line for line in text.getvalue().splitlines()
+                if line.startswith(("re-run", "steal"))]
+
+    runs = [fake(s, i) for i in ten for s in SIDES]
+    check("a saved file without steal", reruns(runs), ["steal n/a"])
+    for r in runs:
+        r["steal"] = 0.01
+    runs[4]["steal"] = STEAL_RERUN - 0.001  # pair 3, parent: kept
+    runs[5]["steal"] = 0.2                  # pair 3, change: re-run
+    check("re-run listing", reruns(runs),
+          ["re-run pair 3: w change ran at 20.0% steal"])
     for f in failures:
         print(f"bench_diff self-test: FAIL {f}")
     print(f"bench_diff self-test: {checks - len(failures)} of {checks} "

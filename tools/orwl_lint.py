@@ -38,8 +38,8 @@ layering         No file under src/lk23/ or src/workloads/ includes a sim/
                  header. Kernels and workloads are Program definitions:
                  they reach the simulator only through orwl/backend.h
                  (SimBackend), and geometry they share with the analytic
-                 models (comm::block_grid) lives in a layer below all
-                 three. Scope: src/.
+                 models (comm::block_grid, comm::BlockGrid) lives in a
+                 layer below all three. Scope: src/.
 
 codegen          No code-generation knobs: a `#pragma` other than
                  `#pragma once` (or `_Pragma`), an

@@ -46,12 +46,8 @@ std::optional<comm::CommMatrix> make_pattern(const std::string& desc) {
     if (kind == "stencil") {
       const auto x = args.find('x');
       if (x == std::string::npos) return std::nullopt;
-      comm::StencilSpec spec;
-      spec.blocks_x = std::stoi(args.substr(0, x));
-      spec.blocks_y = std::stoi(args.substr(x + 1));
-      spec.block_rows = 256;
-      spec.block_cols = 256;
-      return comm::stencil_matrix(spec);
+      return comm::stencil_matrix({std::stoi(args.substr(0, x)),
+                                   std::stoi(args.substr(x + 1)), 256, 256});
     }
     if (kind == "ring") return comm::ring_matrix(std::stoi(args), 4096.0);
     if (kind == "clustered") {
