@@ -71,6 +71,7 @@ Segment::Segment(Segment&& o) noexcept
       target_node_(std::exchange(o.target_node_, -1)),
       interleaved_(std::exchange(o.interleaved_, false)),
       placed_(std::exchange(o.placed_, false)),
+      zero_pending_(std::exchange(o.zero_pending_, false)),
       fd_(std::exchange(o.fd_, -1)),
       shm_name_(std::exchange(o.shm_name_, {})),
       creator_pid_(std::exchange(o.creator_pid_, -1)) {}
@@ -84,10 +85,17 @@ Segment& Segment::operator=(Segment&& o) noexcept {
   target_node_ = std::exchange(o.target_node_, -1);
   interleaved_ = std::exchange(o.interleaved_, false);
   placed_ = std::exchange(o.placed_, false);
+  zero_pending_ = std::exchange(o.zero_pending_, false);
   fd_ = std::exchange(o.fd_, -1);
   shm_name_ = std::exchange(o.shm_name_, {});
   creator_pid_ = std::exchange(o.creator_pid_, -1);
   return *this;
+}
+
+void Segment::zero_if_pending() {
+  if (!zero_pending_) return;
+  std::memset(data_, 0, size_);
+  zero_pending_ = false;
 }
 
 bool Segment::bind_to_node(int node) {
@@ -215,7 +223,7 @@ bool Arena::numa_backed() const {
          numa_syscalls_available();
 }
 
-Segment Arena::allocate(std::size_t bytes) const {
+Segment Arena::allocate(std::size_t bytes, ZeroFill zero) const {
   Segment seg;
   if (bytes == 0) return seg;
   seg.size_ = bytes;
@@ -234,8 +242,9 @@ Segment Arena::allocate(std::size_t bytes) const {
 #endif
   seg.data_ = static_cast<std::byte*>(
       ::operator new(bytes, std::align_val_t{kSegmentAlignment}));
-  std::memset(seg.data_, 0, bytes);
   seg.backing_ = Segment::Backing::Heap;
+  seg.zero_pending_ = true;
+  if (zero == ZeroFill::Now) seg.zero_if_pending();
   return seg;
 }
 

@@ -3,6 +3,9 @@
 //
 // A Segment is the byte store behind one LocationBuffer — a chunk of
 // zero-initialized memory that is NOT assumed to be process-private heap.
+// A heap segment may defer its zero fill (ZeroFill::Deferred): the holder
+// then calls zero_if_pending() on the thread that should first touch the
+// pages, before anyone reads them.
 // Today there are two backings (heap, anonymous mmap with NUMA page
 // placement); the abstraction is also the seam a multi-process shm
 // transport plugs into later (a Segment backed by a shared mapping).
@@ -16,6 +19,7 @@
 // any host.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,6 +31,10 @@ namespace orwl::mem {
 /// Minimum alignment every non-empty Segment guarantees, regardless of
 /// backing (a cache line; mmap-backed segments are page-aligned).
 inline constexpr std::size_t kSegmentAlignment = 64;
+
+/// When Arena::allocate zeroes a heap segment: at once, or on the first
+/// Segment::zero_if_pending() call.
+enum class ZeroFill : std::uint8_t { Now, Deferred };
 
 /// One owned, zero-initialized byte range. Move-only; the destructor
 /// releases per backing. Obtained from Arena::allocate.
@@ -53,6 +61,13 @@ class Segment {
     return {data_, size_};
   }
   [[nodiscard]] Backing backing() const { return backing_; }
+
+  /// The bytes still await their deferred zero fill. bytes() does not
+  /// check: whoever hands them out calls zero_if_pending() first.
+  [[nodiscard]] bool zero_pending() const { return zero_pending_; }
+  /// Zero the bytes on the calling thread if their fill is pending, and
+  /// clear the flag; otherwise do nothing.
+  void zero_if_pending();
 
   /// NUMA node the pages are intended to live on; -1 = unconstrained.
   /// Intent is recorded even on the fallback path, so placement decisions
@@ -113,6 +128,7 @@ class Segment {
   int target_node_ = -1;
   bool interleaved_ = false;
   bool placed_ = false;
+  bool zero_pending_ = false;
   int fd_ = -1;            ///< owned shm fd (Backing::Shm)
   std::string shm_name_;   ///< non-empty: unlink on destroy (creator only)
   int creator_pid_ = -1;   ///< pid that created the named object
@@ -140,7 +156,11 @@ class Arena {
 
   /// A zero-initialized segment of `bytes` (0 -> empty segment). Aligned
   /// to at least kSegmentAlignment; page-aligned when numa_backed().
-  [[nodiscard]] Segment allocate(std::size_t bytes) const;
+  /// ZeroFill::Deferred leaves a heap segment unwritten and zero_pending()
+  /// until its zero_if_pending(); mmap-backed segments are zero on first
+  /// touch and never pending.
+  [[nodiscard]] Segment allocate(std::size_t bytes,
+                                 ZeroFill zero = ZeroFill::Now) const;
 
  private:
   Options opts_;

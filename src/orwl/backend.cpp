@@ -128,8 +128,9 @@ RunReport RuntimeBackend::run(const Program& program) {
 
   // Online re-placement: at every epoch boundary the hook reads the
   // Instrument's fresh flow window, asks the Replacer, and — when drift
-  // warrants it — rebinds the live compute and control threads while they
-  // are parked at the barrier. The run never stops.
+  // warrants it — rebinds the live compute threads (and opt-in PerTask
+  // control threads) while they are parked at the barrier. The run never
+  // stops.
   const place::ReplacementPolicy& rp = program.replacement_policy();
   std::optional<place::Replacer> replacer;
   place::Plan current = rep.plan;
@@ -650,9 +651,7 @@ RunReport SimBackend::run(const Program& program) {
   }
 
   if (opts_.emulate) {
-    RuntimeOptions ro;
-    ro.control = RuntimeOptions::ControlMode::Direct;
-    emu_rt_ = std::make_unique<Runtime>(ro);
+    emu_rt_ = std::make_unique<Runtime>();
     build_runtime(program, *emu_rt_);
     apply_inits(program, *emu_rt_);
     emu_rt_->run();

@@ -335,8 +335,10 @@ class Program {
 
   // --- construction -------------------------------------------------------
 
-  /// Create a typed location of `count` elements of T (zero-initialized at
-  /// execution time).
+  /// Create a typed location of `count` elements of T, zero before any
+  /// task reads it. On RuntimeBackend the zero fill is the location's
+  /// first touch, on the thread of its first writer where that is a task
+  /// (Runtime::add_location).
   template <class T>
   Location<T> location(std::size_t count, std::string name = {}) {
     static_assert(std::is_trivially_copyable_v<T>,

@@ -37,7 +37,7 @@ LocationId Runtime::add_location(std::size_t bytes, std::string name) {
   if (name.empty()) name = "loc" + std::to_string(id);
   // The cast to the private base is accessible here (member scope).
   locations_.push_back(std::make_unique<LocationBuffer>(
-      id, arena_.allocate(bytes), std::move(name),
+      id, arena_.allocate(bytes, mem::ZeroFill::Deferred), std::move(name),
       static_cast<GrantSink*>(this)));
   locations_.back()->queue().set_batch_grants(opts_.batch_grants);
   return id;
@@ -291,7 +291,9 @@ const std::string& Runtime::task_name(TaskId t) const {
 
 std::span<std::byte> Runtime::location_data(LocationId loc) {
   ORWL_CHECK_MSG(loc >= 0 && loc < num_locations(), "unknown location " << loc);
-  return locations_[static_cast<std::size_t>(loc)]->data();
+  LocationBuffer& buf = *locations_[static_cast<std::size_t>(loc)];
+  buf.storage().zero_if_pending();
+  return buf.data();
 }
 
 std::size_t Runtime::location_size(LocationId loc) const {
@@ -511,6 +513,28 @@ void Runtime::run() {
   for (HandleId h : prime_order_)
     handles_[static_cast<std::size_t>(h)]->request();
 
+  // Deferred zero fill (add_location). A location whose first grant is a
+  // local task's Write is held by that task alone until its body releases
+  // it, so the task's compute thread zeroes it: the first touch lands on
+  // the writer's PU. The run() thread zeroes every other pending location
+  // now, before any compute thread exists.
+  std::vector<std::vector<mem::Segment*>> first_writes(tasks_.size());
+  std::vector<char> deferred(locations_.size(), 0);
+  for (HandleId h : prime_order_) {
+    const Handle& hd = *handles_[static_cast<std::size_t>(h)];
+    const auto li = static_cast<std::size_t>(hd.location());
+    LocationBuffer& loc = *locations_[li];
+    const bool local = &loc.port() == &loc.queue();
+    if (hd.mode() != AccessMode::Write || !local ||
+        !loc.storage().zero_pending() || !hd.test())
+      continue;
+    deferred[li] = 1;
+    first_writes[static_cast<std::size_t>(hd.task())].push_back(
+        &loc.storage());
+  }
+  for (std::size_t li = 0; li < locations_.size(); ++li)
+    if (!deferred[li]) locations_[li]->storage().zero_if_pending();
+
   // Control threads first so primed grants get delivered.
   std::vector<std::thread> control;
   if (opts_.control == RuntimeOptions::ControlMode::PerTask) {
@@ -529,7 +553,7 @@ void Runtime::run() {
   std::vector<std::thread> compute;
   compute.reserve(tasks_.size());
   for (TaskId t = 0; t < num_tasks(); ++t) {
-    compute.emplace_back([this, t, &err_mu, &first_error] {
+    compute.emplace_back([this, t, &err_mu, &first_error, &first_writes] {
       TaskRec& rec = tasks_[static_cast<std::size_t>(t)];
       set_current_thread_name(rec.name);
       {
@@ -538,6 +562,8 @@ void Runtime::run() {
             topo::current_thread_handle();
       }
       if (rec.compute_bind) topo::bind_current_thread(*rec.compute_bind);
+      for (mem::Segment* seg : first_writes[static_cast<std::size_t>(t)])
+        seg->zero_if_pending();
       TaskContext ctx(*this, t);
       const auto record_error = [&] {
         sync::LockGuard lock(err_mu);

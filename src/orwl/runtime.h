@@ -1,7 +1,7 @@
 #pragma once
-// Runtime: owns locations, tasks, handles and the control threads; runs the
-// whole ORWL program. This is the decentralized event-based runtime of the
-// paper plus the binding hooks the placement module drives.
+// Runtime: owns locations, tasks, handles and the opt-in control threads;
+// runs the whole ORWL program. This is the decentralized event-based
+// runtime of the paper plus the binding hooks the placement module drives.
 //
 // NOTE FOR NEWCOMERS: this is the low-level, byte-span layer. Applications
 // should normally be written against the typed orwl::Program front-end
@@ -57,13 +57,16 @@ class Topology;
 namespace orwl {
 
 struct RuntimeOptions {
-  /// How lock grants reach the waiting compute thread.
+  /// How lock grants reach the waiting compute thread. The default,
+  /// Direct, starts no control thread: a run spawns one thread per task.
+  /// PerTask and SharedPool are opt-in; with inline_idle_delivery on (its
+  /// default) their control threads never receive a grant.
   enum class ControlMode {
     Direct,      ///< granted in the releaser's context (no control threads)
     PerTask,     ///< routed through the owning task's control thread
     SharedPool,  ///< routed through a small pool of control threads
   };
-  ControlMode control = ControlMode::PerTask;
+  ControlMode control = ControlMode::Direct;
 
   /// Pool size for ControlMode::SharedPool. Tasks are assigned to pool
   /// threads round-robin (task id modulo pool size).
@@ -131,11 +134,18 @@ class Runtime : private GrantSink {
 
   // --- program construction (single-threaded, before run()) -------------
 
-  /// Create a location holding `bytes` bytes (zero-initialized).
+  /// Create a location holding `bytes` bytes, zero before anyone reads
+  /// them. A heap location is zeroed late, on the thread that first
+  /// touches it: location_data() zeroes it on the calling thread; run()
+  /// zeroes it on the compute thread of its first grant's task, after the
+  /// thread binds and before its body runs, when that grant (after
+  /// canonical priming) is an exclusive Write of a local task, and on the
+  /// run() thread before any compute thread starts otherwise. mmap-backed
+  /// (NUMA) locations are zero on first touch.
   LocationId add_location(std::size_t bytes, std::string name = {});
 
-  /// Create a task (one compute thread; one control thread in PerTask
-  /// mode).
+  /// Create a task: one compute thread, plus one control thread in the
+  /// opt-in ControlMode::PerTask.
   TaskId add_task(std::string name, TaskFn fn);
 
   /// Register task access to a location. When `prime` is true the runtime
@@ -255,15 +265,17 @@ class Runtime : private GrantSink {
   [[nodiscard]] const std::string& task_name(TaskId t) const;
 
   /// Direct buffer access for pre-run initialization (first touch!) and
-  /// post-run result extraction. Do not use while tasks are running.
+  /// post-run result extraction; zeroes a still-pending location first.
+  /// Do not use while tasks are running.
   std::span<std::byte> location_data(LocationId loc);
   [[nodiscard]] std::size_t location_size(LocationId loc) const;
 
   // --- execution ----------------------------------------------------------
 
-  /// Prime the FIFOs, spawn control + compute threads, wait for all task
-  /// bodies to return. Runs once; a second call throws. Exceptions thrown
-  /// by task bodies are rethrown here (first one wins).
+  /// Prime the FIFOs, zero the pending locations (add_location), spawn
+  /// the compute threads (and control threads in PerTask/SharedPool mode),
+  /// wait for all task bodies to return. Runs once; a second call throws.
+  /// Exceptions thrown by task bodies are rethrown here (first one wins).
   void run();
 
   // --- communication matrices (paper Sec. II) -----------------------------

@@ -139,7 +139,8 @@ void apply_plan(const Plan& plan, const topo::Topology& topo,
           t, pus[static_cast<std::size_t>(ctl)]->cpuset);
     else if (cpu >= 0)
       // Control thread defaults to its compute thread's PU when the policy
-      // does not manage it separately.
+      // does not manage it separately. Only the opt-in PerTask control
+      // mode has a control thread to bind.
       runtime.set_control_binding(
           t, pus[static_cast<std::size_t>(cpu)]->cpuset);
   }

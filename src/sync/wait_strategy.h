@@ -24,10 +24,13 @@
 // 4-CPU host one futex park/wake handoff of a word costs ~1.9 us against
 // ~0.1 us spinning, and a grant-bound pipeline (4 stages, 2000 frames)
 // runs ~44 -> ~13 ms per execution on half the CPU time, while a
-// compute-bound stencil does not move. Programs with many more threads
-// than PUs (36-48 tasks on 4 CPUs) ran 6-9% slower than under block
-// there; pick block for them. A default-constructed WaitStrategy is
-// block, and so is the ipc transport's.
+// compute-bound stencil does not move. With the default Direct control
+// (no control threads), block is faster beyond noise on no registered
+// workload, on 4 CPUs or on one PU, programs of 36-64 tasks included (it
+// won at most half the alternating pairs); the 6-9% loss once seen
+// at 36-48 tasks came with idle per-task control threads. A
+// default-constructed WaitStrategy is block, and so is the ipc
+// transport's.
 //
 // The strategy is plumbed from Program::wait_strategy() / RuntimeOptions
 // down to every waiter, and swept by bench/micro_orwl_overhead and

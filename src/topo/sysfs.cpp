@@ -23,7 +23,8 @@ std::optional<int> read_int(const std::filesystem::path& p) {
 
 }  // namespace
 
-std::optional<Topology> detect_from_sysfs(const std::string& sysfs_root) {
+std::optional<Topology> detect_from_sysfs(
+    const std::string& sysfs_root, const std::optional<Bitmap>& allowed) {
   namespace fs = std::filesystem;
   const fs::path cpu_dir = fs::path(sysfs_root) / "devices/system/cpu";
 
@@ -36,6 +37,7 @@ std::optional<Topology> detect_from_sysfs(const std::string& sysfs_root) {
     return std::nullopt;
   }
   if (online.empty()) return std::nullopt;
+  if (allowed && online.intersects(*allowed)) online &= *allowed;
 
   // NUMA node of each cpu (optional).
   std::map<int, int> cpu_numa;  // os cpu -> node id

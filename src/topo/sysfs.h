@@ -18,6 +18,12 @@ namespace orwl::topo {
 
 /// Detect the machine described under `sysfs_root` (normally "/sys").
 /// Returns nullopt when the expected files are absent or unreadable.
-std::optional<Topology> detect_from_sysfs(const std::string& sysfs_root);
+/// `allowed` (Topology::host() passes the calling thread's affinity mask)
+/// keeps only the online CPUs it names; cores, packages and NUMA nodes
+/// left without a CPU do not appear. nullopt, or a mask that names no
+/// online CPU, keeps every online CPU.
+std::optional<Topology> detect_from_sysfs(
+    const std::string& sysfs_root,
+    const std::optional<Bitmap>& allowed = std::nullopt);
 
 }  // namespace orwl::topo

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "support/assert.h"
+#include "topo/binding.h"
 #include "topo/sysfs.h"
 
 namespace orwl::topo {
@@ -96,7 +97,10 @@ Topology Topology::flat(int npus) {
 }
 
 Topology Topology::host() {
-  if (auto detected = detect_from_sysfs("/sys")) return std::move(*detected);
+  // Only the CPUs this thread may run on: a run confined by taskset or a
+  // cpuset must not place threads outside it.
+  if (auto detected = detect_from_sysfs("/sys", current_thread_binding()))
+    return std::move(*detected);
   const unsigned hc = std::thread::hardware_concurrency();
   return flat(hc > 0 ? static_cast<int>(hc) : 1);
 }

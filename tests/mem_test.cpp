@@ -136,6 +136,48 @@ TEST(Segment, MoveTransfersOwnershipAndIntent) {
   EXPECT_EQ(a.backing(), Segment::Backing::None);    // NOLINT(bugprone-use-after-move)
 }
 
+TEST(Segment, DeferredHeapFillRunsOnceOnRequest) {
+  const Arena arena;  // heap
+  const Segment now = arena.allocate(1000);
+  EXPECT_FALSE(now.zero_pending());
+
+  Segment seg = arena.allocate(1000, ZeroFill::Deferred);
+  ASSERT_EQ(seg.size(), 1000u);
+  EXPECT_EQ(seg.backing(), Segment::Backing::Heap);
+  EXPECT_TRUE(aligned_to(seg.bytes().data(), kSegmentAlignment));
+  EXPECT_TRUE(seg.zero_pending());
+  // The holder owns the unwritten bytes until the fill: make them dirty so
+  // the fill has something to do.
+  std::memset(seg.bytes().data(), 0xa5, seg.size());
+  Segment moved = std::move(seg);  // the pending fill travels with the bytes
+  EXPECT_FALSE(seg.zero_pending());  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(moved.zero_pending());
+  moved.zero_if_pending();
+  EXPECT_FALSE(moved.zero_pending());
+  for (const std::byte b : moved.bytes()) ASSERT_EQ(b, std::byte{0});
+  moved.bytes()[3] = std::byte{42};
+  moved.zero_if_pending();  // filled already: a no-op
+  EXPECT_EQ(moved.bytes()[3], std::byte{42});
+
+  const Segment empty = arena.allocate(0, ZeroFill::Deferred);
+  EXPECT_FALSE(empty.zero_pending());
+}
+
+TEST(Segment, DeferredFillOnNumaArenasPendsOnlyOnTheHeapFallback) {
+  for (const MemoryPolicy p :
+       {MemoryPolicy::NumaLocal, MemoryPolicy::NumaInterleave}) {
+    for (const bool fallback : {false, true}) {
+      const Arena arena({.policy = p, .force_fallback = fallback});
+      Segment seg = arena.allocate(2 * page_size() + 5, ZeroFill::Deferred);
+      // mmap pages are zero on first touch: nothing to defer.
+      EXPECT_EQ(seg.zero_pending(), !arena.numa_backed());
+      seg.zero_if_pending();
+      EXPECT_FALSE(seg.zero_pending());
+      for (const std::byte b : seg.bytes()) ASSERT_EQ(b, std::byte{0});
+    }
+  }
+}
+
 TEST(Arena, ForcedFallbackAlwaysUsesHeapButKeepsIntent) {
   const Arena arena(
       {.policy = MemoryPolicy::NumaLocal, .force_fallback = true});
@@ -299,6 +341,39 @@ TEST(ProgramMemory, NumaLocalRunsEndToEndOnAnyHostViaTheFallback) {
     EXPECT_TRUE(rep.placed);
     std::string why;
     EXPECT_TRUE(built.verify(backend, why)) << to_string(mp) << ": " << why;
+  }
+}
+
+TEST(ProgramMemory, InitHooksApplyOnTopOfTheZeroFill) {
+  for (const MemoryPolicy mp : {MemoryPolicy::Heap, MemoryPolicy::NumaLocal,
+                                MemoryPolicy::NumaInterleave}) {
+    SCOPED_TRACE(to_string(mp));
+    Program p;
+    auto init = p.location<long>(512, "init");
+    auto fresh = p.location<long>(512, "fresh");
+    auto out = p.location<long>(2, "out");
+    p.init(init, [](std::span<long> x) { x[3] = 5; });
+    p.task("t").reads(init).reads(fresh).writes(out).iterations(1).body(
+        [init, fresh, out](Step& s) {
+          long sum = 0;
+          s.read(init, [&](std::span<const long> x) {
+            for (const long v : x) sum += v;
+          });
+          long fresh_sum = 0;
+          s.read(fresh, [&](std::span<const long> x) {
+            for (const long v : x) fresh_sum += v != 0;
+          });
+          s.write(out, [&](std::span<long> x) {
+            x[0] = sum;
+            x[1] = fresh_sum;
+          });
+        });
+    p.memory_policy(mp);
+    RuntimeBackend backend;
+    p.run(backend);
+    EXPECT_EQ(backend.fetch(out)[0], 5);  // the hook's 5, on zeros
+    EXPECT_EQ(backend.fetch(out)[1], 0);
+    EXPECT_EQ(backend.fetch(init)[3], 5);
   }
 }
 

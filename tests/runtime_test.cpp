@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/trace.h"
@@ -267,7 +271,7 @@ TEST(Runtime, SharedPoolValidation) {
   EXPECT_THROW(rt.set_shared_control_binding(2, topo::Bitmap::single(0)),
                ContractError);
 
-  Runtime per_task;  // default PerTask: shared bindings rejected
+  Runtime per_task;  // default Direct: shared bindings rejected
   EXPECT_THROW(
       per_task.set_shared_control_binding(0, topo::Bitmap::single(0)),
       ContractError);
@@ -313,6 +317,131 @@ TEST(Runtime, BindingsAccepted) {
   rt.set_control_binding(t, topo::Bitmap::single(0));
   rt.run();
   EXPECT_EQ(as_span<int>(rt.location_data(loc))[0], 1);
+}
+
+bool all_bytes(std::span<const std::byte> bytes, std::byte value) {
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [value](std::byte b) { return b == value; });
+}
+
+TEST(Runtime, LocationsAreZeroWhicheverThreadTouchesThemFirst) {
+  // add_location defers the heap zero fill: the compute thread of a
+  // location's first Write grant zeroes it before the body runs, and the
+  // run() thread or location_data() zeroes every other one. Whoever reads
+  // a fresh location sees zeros, and no fill is left pending.
+  constexpr std::size_t kBytes = 3 * 4096 + 40;
+  constexpr std::byte kWritten{0x5a};
+  constexpr std::byte kInit{7};
+  for (const auto control : {RuntimeOptions::ControlMode::Direct,
+                             RuntimeOptions::ControlMode::PerTask}) {
+    for (const mem::MemoryPolicy memory :
+         {mem::MemoryPolicy::Heap, mem::MemoryPolicy::NumaLocal,
+          mem::MemoryPolicy::NumaInterleave}) {
+      SCOPED_TRACE(std::string(mem::to_string(memory)) +
+                   (control == RuntimeOptions::ControlMode::Direct
+                        ? " direct"
+                        : " per_task"));
+      RuntimeOptions opts;
+      opts.control = control;
+      opts.memory = memory;
+      Runtime rt(opts);
+      const LocationId written = rt.add_location(kBytes, "written");
+      const LocationId read = rt.add_location(kBytes, "read");
+      const LocationId touched = rt.add_location(kBytes, "touched");
+      const LocationId undeclared = rt.add_location(kBytes, "undeclared");
+
+      // Pre-run first touch, as a Program::init hook does.
+      const std::span<std::byte> pre = rt.location_data(touched);
+      EXPECT_TRUE(all_bytes(pre, std::byte{0}));
+      pre[0] = kInit;
+
+      bool writer_pending = true;
+      bool writer_saw_zero = false;
+      bool reader_saw_zero = false;
+      bool reader_saw_write = false;
+      bool reader_saw_init = false;
+      const TaskId w = rt.add_task("writer", [&](TaskContext& ctx) {
+        writer_pending = rt.location_storage(written).zero_pending();
+        Handle& h = ctx.handle(0);
+        const std::span<std::byte> bytes = h.acquire();
+        writer_saw_zero = all_bytes(bytes, std::byte{0});
+        std::fill(bytes.begin(), bytes.end(), kWritten);
+        h.release();
+      });
+      const TaskId r = rt.add_task("reader", [&](TaskContext& ctx) {
+        Handle& first = ctx.handle(1);
+        reader_saw_zero = all_bytes(first.acquire_const(), std::byte{0});
+        first.release();
+        Handle& after_writer = ctx.handle(2);
+        reader_saw_write = all_bytes(after_writer.acquire_const(), kWritten);
+        after_writer.release();
+        Handle& init = ctx.handle(3);
+        const std::span<const std::byte> t = init.acquire_const();
+        reader_saw_init =
+            t[0] == kInit && all_bytes(t.subspan(1), std::byte{0});
+        init.release();
+      });
+      rt.add_handle(w, written, AccessMode::Write);  // first grant: a Write
+      rt.add_handle(r, read, AccessMode::Read);      // first grant: a Read
+      rt.add_handle(r, written, AccessMode::Read);
+      rt.add_handle(r, touched, AccessMode::Read);
+      rt.run();
+
+      EXPECT_FALSE(writer_pending) << "the writer's body ran before its fill";
+      EXPECT_TRUE(writer_saw_zero);
+      EXPECT_TRUE(reader_saw_zero);
+      EXPECT_TRUE(reader_saw_write);
+      EXPECT_TRUE(reader_saw_init);
+      for (LocationId l = 0; l < rt.num_locations(); ++l)
+        EXPECT_FALSE(rt.location_storage(l).zero_pending()) << "location " << l;
+      EXPECT_TRUE(all_bytes(rt.location_data(written), kWritten));
+      EXPECT_TRUE(all_bytes(rt.location_data(read), std::byte{0}));
+      EXPECT_TRUE(all_bytes(rt.location_data(undeclared), std::byte{0}));
+    }
+  }
+}
+
+int live_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string key;
+  while (in >> key) {
+    if (key == "Threads:") {
+      int n = -1;
+      in >> n;
+      return n;
+    }
+    in.ignore(1 << 12, '\n');
+  }
+  return -1;
+}
+
+// Threads alive while every body of a `tasks`-task run is running, beyond
+// those alive before run().
+int threads_added_by_run(RuntimeOptions opts, int tasks) {
+  Runtime rt(opts);
+  std::atomic<int> arrived{0};
+  std::atomic<int> seen{-1};
+  for (int t = 0; t < tasks; ++t) {
+    rt.add_task("t" + std::to_string(t), [&arrived, &seen, t,
+                                          tasks](TaskContext&) {
+      arrived.fetch_add(1);
+      while (arrived.load() < tasks) std::this_thread::yield();
+      if (t == 0) seen.store(live_threads());
+      while (seen.load() < 0) std::this_thread::yield();
+    });
+  }
+  const int before = live_threads();
+  rt.run();
+  return seen.load() - before;
+}
+
+TEST(Runtime, DefaultRunStartsOneThreadPerTask) {
+  if (live_threads() < 0) GTEST_SKIP() << "no Threads: in /proc/self/status";
+  EXPECT_EQ(RuntimeOptions{}.control, RuntimeOptions::ControlMode::Direct);
+  EXPECT_EQ(threads_added_by_run({}, 4), 4);
+  RuntimeOptions per_task;
+  per_task.control = RuntimeOptions::ControlMode::PerTask;
+  EXPECT_EQ(threads_added_by_run(per_task, 4), 8);  // one control thread each
 }
 
 TEST(Runtime, ManyTasksManyLocationsRing) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "topo/binding.h"
 #include "topo/sysfs.h"
 
 namespace orwl::topo {
@@ -96,6 +97,62 @@ TEST_F(SysfsFixture, SparseOnlineMaskRespected) {
   EXPECT_NE(topo->pu_by_os(0), nullptr);
   EXPECT_EQ(topo->pu_by_os(1), nullptr);
   EXPECT_NE(topo->pu_by_os(2), nullptr);
+}
+
+TEST_F(SysfsFixture, AffinityMaskDropsCpusAndEmptyLevels) {
+  // Two packages, one NUMA node each, two SMT cores per package.
+  write("devices/system/cpu/online", "0-7\n");
+  for (int cpu = 0; cpu < 8; ++cpu) add_cpu(cpu, cpu / 4, cpu % 4 / 2);
+  write("devices/system/node/node0/cpulist", "0-3\n");
+  write("devices/system/node/node1/cpulist", "4-7\n");
+
+  // A mask inside one package keeps one package, node and core.
+  auto topo = detect_from_sysfs(root_.string(), Bitmap::parse_list("6-7"));
+  ASSERT_TRUE(topo.has_value());
+  EXPECT_EQ(topo->num_pus(), 2);
+  ASSERT_EQ(topo->depth(), 5);  // machine/pack/numa/core/pu
+  EXPECT_EQ(topo->level(1).size(), 1u);
+  ASSERT_EQ(topo->level(2).size(), 1u);
+  EXPECT_EQ(topo->level(2)[0]->os_index, 1);  // the OS node id survives
+  EXPECT_EQ(topo->level(3).size(), 1u);
+  EXPECT_EQ(topo->pu_by_os(5), nullptr);
+  EXPECT_NE(topo->pu_by_os(6), nullptr);
+
+  // Across packages: each keeps only the cores the mask touches.
+  topo = detect_from_sysfs(root_.string(), Bitmap::parse_list("0-1,4"));
+  ASSERT_TRUE(topo.has_value());
+  EXPECT_EQ(topo->num_pus(), 3);
+  EXPECT_EQ(topo->level(1).size(), 2u);
+  EXPECT_EQ(topo->level(3).size(), 2u);
+  EXPECT_EQ(topo->pu_by_os(4)->parent->children.size(), 1u);
+  EXPECT_EQ(topo->pu_by_os(2), nullptr);
+
+  // A mask naming no online CPU, or none at all, keeps every CPU.
+  topo = detect_from_sysfs(root_.string(), Bitmap::parse_list("8-9"));
+  ASSERT_TRUE(topo.has_value());
+  EXPECT_EQ(topo->num_pus(), 8);
+  topo = detect_from_sysfs(root_.string(), std::nullopt);
+  ASSERT_TRUE(topo.has_value());
+  EXPECT_EQ(topo->num_pus(), 8);
+}
+
+TEST(HostTopology, FollowsTheCallingThreadsAffinity) {
+  if (!detect_from_sysfs("/sys").has_value())
+    GTEST_SKIP() << "no usable /sys topology";
+  const std::optional<Bitmap> mask = current_thread_binding();
+  if (!mask) GTEST_SKIP() << "affinity mask not readable";
+  const int full = Topology::host().num_pus();
+  EXPECT_EQ(full, mask->count());
+  const int cpu = mask->first();
+  {
+    const ScopedBinding narrowed(Bitmap::single(cpu));
+    ASSERT_TRUE(narrowed.bound());
+    const Topology one = Topology::host();
+    ASSERT_EQ(one.num_pus(), 1);
+    EXPECT_EQ(one.pus()[0]->os_index, cpu);
+  }
+  EXPECT_EQ(current_thread_binding(), mask);  // restored
+  EXPECT_EQ(Topology::host().num_pus(), full);
 }
 
 TEST_F(SysfsFixture, SiblingMaskFallback) {

@@ -35,6 +35,12 @@ flagged. Each run also records the host's steal time: the share of the
 start and end, saved as "steal" and printed on the progress line. After
 the tables, runs taken at STEAL_RERUN or more are listed as "re-run pair
 i"; the verdict ignores steal. A file saved without it reports "steal n/a".
+Each run also records what it cost the scheduler: the deltas of the waited-
+for children's involuntary context switches and minor page faults
+(getrusage(RUSAGE_CHILDREN)) across the run, divided by the executions it
+attempted, saved as "nivcsw_per_exec" and "minflt_per_exec", printed on the
+progress line and, as each side's median, under each workload's table; a
+file saved without them prints "n/a".
 BENCHMARK.json, at the root of the checkout holding this script, is only
 read. Exit status: 1 on a regression or a flagged run, else 0.
 """
@@ -43,6 +49,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -122,6 +129,26 @@ def read_cpu_times():
         return cpu_times(f.read())
 
 
+SCHED_KEYS = ("nivcsw_per_exec", "minflt_per_exec")
+
+
+def rusage_counts():
+    """Involuntary context switches and minor page faults of every child
+    waited for so far (their descendants included)."""
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return ru.ru_nivcsw, ru.ru_minflt
+
+
+def per_execution(before, after, attempted):
+    """The deltas between two rusage_counts samples per attempted
+    execution, as {"nivcsw_per_exec", "minflt_per_exec"}; empty without a
+    positive execution count."""
+    if (attempted or 0) <= 0:
+        return {}
+    return {key: (a - b) / attempted for key, a, b in
+            zip(SCHED_KEYS, after, before)}
+
+
 def run_problem(run):
     """Why a run is flagged, or None."""
     res = run.get("result")
@@ -169,6 +196,15 @@ def report(runs, bench, out=sys.stdout):
                 print(f"  {name if side == 'parent' else '':12} {side:6} "
                       f"{s['median']:12.6g} {s['q1']:12.6g} {s['q3']:12.6g} "
                       f"{s['mad']:11.4g}{tail}", file=out)
+        for key in SCHED_KEYS:
+            medians = []
+            for side in SIDES:
+                got = [r[key] for r in runs if r["workload"] == wl and
+                       r["side"] == side and key in r]
+                medians.append(f"{side} " + (
+                    f"{statistics.median(got):.6g}" if got else "n/a"))
+            print(f"  {key.replace('_per_exec', '/exec'):12} median "
+                  + ", ".join(medians), file=out)
     for r in runs:
         why = run_problem(r)
         if why is not None:
@@ -197,15 +233,18 @@ def side_env(side):
 def run_once(bench, checkout, side, workload, seed, seconds):
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(seconds), "--trace", "0"]
-    before = read_cpu_times()
+    before, sched = read_cpu_times(), rusage_counts()
     proc = subprocess.run(cmd, cwd=checkout, env=side_env(side),
                           stdout=subprocess.PIPE, text=True)
     steal = steal_share(before, read_cpu_times())
+    sched_after = rusage_counts()
     try:
         result = json.loads(proc.stdout.strip().split("\n")[-1])
     except (ValueError, IndexError):
         result = None
-    return proc.returncode, result, steal
+    attempted = (result or {}).get("attempted")
+    return (proc.returncode, result, steal,
+            per_execution(sched, sched_after, attempted))
 
 
 def measure(args, bench):
@@ -224,17 +263,21 @@ def measure(args, bench):
         for pair in range(1, args.pairs + 1):
             order = SIDES if pair % 2 == 1 else SIDES[::-1]
             for side in order:
-                code, result, steal = run_once(bench, dirs[side], side, wl,
-                                               pair, args.seconds)
+                code, result, steal, sched = run_once(
+                    bench, dirs[side], side, wl, pair, args.seconds)
                 saved["runs"].append({"workload": wl, "side": side,
                                       "pair": pair, "seed": pair,
                                       "exit": code, "result": result,
-                                      "steal": steal})
+                                      "steal": steal, **sched})
                 exec_s = (result or {}).get("metrics", {}).get(
                     "exec_s", {}).get("value")
+                per_exec = ", ".join(
+                    f"{k.replace('_per_exec', '/exec')} "
+                    + (f"{sched[k]:.1f}" if k in sched else "n/a")
+                    for k in SCHED_KEYS)
                 print(f"bench_diff: {wl} pair {pair} {side}: exit {code}, "
-                      f"exec_s {exec_s}, steal {steal:.1%}", file=sys.stderr,
-                      flush=True)
+                      f"exec_s {exec_s}, steal {steal:.1%}, {per_exec}",
+                      file=sys.stderr, flush=True)
                 if args.out:
                     with open(args.out, "w") as f:
                         json.dump(saved, f, indent=1)
@@ -325,6 +368,28 @@ def self_test(bench):
     runs[5]["steal"] = 0.2                  # pair 3, change: re-run
     check("re-run listing", reruns(runs),
           ["re-run pair 3: w change ran at 20.0% steal"])
+
+    # 1420 involuntary switches and 970 minor faults over 1000 executions.
+    check("per-execution scheduler counts",
+          per_execution((100, 50), (1520, 1020), 1000),
+          {"nivcsw_per_exec": 1.42, "minflt_per_exec": 0.97})
+    check("no executions, no counts", per_execution((1, 1), (9, 9), 0), {})
+
+    def sched_rows(runs):
+        text = io.StringIO()
+        report(runs, bench, text)
+        return [" ".join(line.split()) for line in text.getvalue().splitlines()
+                if "/exec" in line]
+
+    check("a saved file without scheduler counts", sched_rows(runs),
+          ["nivcsw/exec median parent n/a, change n/a",
+           "minflt/exec median parent n/a, change n/a"])
+    for r in runs:
+        r.update({"nivcsw_per_exec": 8.0 if r["side"] == "change" else 1400.0,
+                  "minflt_per_exec": 2.5})
+    check("scheduler medians per side", sched_rows(runs),
+          ["nivcsw/exec median parent 1400, change 8",
+           "minflt/exec median parent 2.5, change 2.5"])
     for f in failures:
         print(f"bench_diff self-test: FAIL {f}")
     print(f"bench_diff self-test: {checks - len(failures)} of {checks} "
