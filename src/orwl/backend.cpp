@@ -70,6 +70,14 @@ void apply_inits(const Program& program, Runtime& rt) {
     hook.fn(rt.location_data(hook.location));
 }
 
+/// Whether a run copies its runtime's registry into RunReport::metrics:
+/// only while tracing or detailed metrics are on, as every reader of that
+/// field turns one of them on. The copy (every counter, two histograms
+/// per handle) is about a fifth of a small run's set-up time.
+bool report_metrics() {
+  return obs::detailed_metrics_enabled() || obs::tracing_enabled();
+}
+
 place::Plan plan_for(const Program& program, const topo::Topology& topo,
                      const comm::CommMatrix& m) {
   // An explicit placement matrix (the measured-flow feedback loop) beats
@@ -205,7 +213,7 @@ RunReport RuntimeBackend::run(const Program& program) {
   rt_->run();
   rep.seconds = timer.seconds();
   rep.grants = rt_->stats().read_grants() + rt_->stats().write_grants();
-  rep.metrics = rt_->metrics().snapshot();
+  if (report_metrics()) rep.metrics = rt_->metrics().snapshot();
   if (obs::tracing_enabled()) rep.trace = obs::collect();
   return rep;
 }
@@ -655,7 +663,7 @@ RunReport SimBackend::run(const Program& program) {
     build_runtime(program, *emu_rt_);
     apply_inits(program, *emu_rt_);
     emu_rt_->run();
-    rep.metrics = emu_rt_->metrics().snapshot();
+    if (report_metrics()) rep.metrics = emu_rt_->metrics().snapshot();
   } else {
     emu_rt_.reset();
   }

@@ -70,8 +70,12 @@ struct RunReport {
   /// out with obs::write_chrome_trace_file.
   obs::TraceData trace;
   /// Snapshot of the executing runtime's metric registry (Instrument
-  /// counters, per-handle wait/latency histograms). Empty for a pure
-  /// (non-emulated) sim run.
+  /// counters, per-handle wait/latency histograms). Filled only while
+  /// obs::detailed_metrics_enabled() or obs::tracing_enabled() is on, so
+  /// a run whose report nobody reads skips the copy; empty otherwise, and
+  /// for a pure (non-emulated) sim run. The registry itself stays
+  /// readable through RuntimeBackend::runtime() or
+  /// SimBackend::emulated_runtime() until the next run.
   obs::RegistrySnapshot metrics;
 };
 

@@ -11,7 +11,12 @@
 //
 // Both verify against closed-form sequential replays with identical
 // summation order, so equality is exact.
+//
+// Every read section of both is one bulk copy into a task-private buffer;
+// the arithmetic runs on the copy after the section is released, so a
+// read lock is held only as long as the copy takes.
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
 #include <vector>
@@ -37,6 +42,37 @@ double frame_value(int r, long k) {
 /// Per-stage pipeline transform (applied by stages 1..n-1).
 double stage_transform(int stage, double v) {
   return 0.5 * v + 0.01 * static_cast<double>(stage);
+}
+
+/// Adds to `acc` the sum of each `elems`-long chunk in `chunks`, in chunk
+/// order. Each sum is a left fold from 0.0 in element order, exactly as
+/// std::accumulate computes it. Three folds share each pass over k, each
+/// in its own local, so their adds overlap instead of waiting on one
+/// another; the chunks left over after the last group of three fold alone.
+double add_chunk_sums(std::span<const double> chunks, std::size_t elems,
+                      double acc) {
+  const std::size_t count = chunks.size() / elems;
+  const double* c = chunks.data();
+  std::size_t j = 0;
+  for (; j + 3 <= count; j += 3, c += 3 * elems) {
+    const double* a = c;
+    const double* b = c + elems;
+    const double* d = c + 2 * elems;
+    double sa = 0.0;
+    double sb = 0.0;
+    double sd = 0.0;
+    for (std::size_t k = 0; k < elems; ++k) {
+      sa += a[k];
+      sb += b[k];
+      sd += d[k];
+    }
+    acc += sa;
+    acc += sb;
+    acc += sd;
+  }
+  for (; j < count; ++j, c += elems)
+    acc += std::accumulate(c, c + elems, 0.0);
+  return acc;
 }
 
 }  // namespace
@@ -69,7 +105,9 @@ Built build_alltoall(Program& p, const Params& params) {
     builder.iterations(T)
         .cost(static_cast<double>(n) * static_cast<double>(elems),
               static_cast<double>(n) * bytes)
-        .body([i, n, elems, chunks, accs, acc = 0.0](Step& s) mutable {
+        .body([i, n, elems, chunks, accs, acc = 0.0,
+               copies = std::vector<double>(
+                   static_cast<std::size_t>(n - 1) * elems)](Step& s) mutable {
           if (s.first()) acc = 0.0;
           const int r = s.round();
           s.write(chunks[static_cast<std::size_t>(i)],
@@ -77,13 +115,15 @@ Built build_alltoall(Program& p, const Params& params) {
                     for (std::size_t k = 0; k < elems; ++k)
                       out[k] = chunk_value(i, r, static_cast<long>(k));
                   });
+          auto dst = copies.begin();
           for (int j = 0; j < n; ++j) {
             if (j == i) continue;
-            acc += s.read(chunks[static_cast<std::size_t>(j)],
-                          [](std::span<const double> in) {
-                            return std::accumulate(in.begin(), in.end(), 0.0);
-                          });
+            dst = s.read(chunks[static_cast<std::size_t>(j)],
+                         [dst](std::span<const double> in) {
+                           return std::copy(in.begin(), in.end(), dst);
+                         });
           }
+          acc = add_chunk_sums(copies, elems, acc);
           s.write(accs[static_cast<std::size_t>(i)],
                   [&](std::span<double> out) { out[0] = acc; });
         });
@@ -159,9 +199,9 @@ Built build_pipeline(Program& p, const Params& params) {
               frame[k] = frame_value(r, static_cast<long>(k));
           } else {
             s.read(in, [&](std::span<const double> prev) {
-              for (std::size_t k = 0; k < elems; ++k)
-                frame[k] = stage_transform(i, prev[k]);
+              std::copy(prev.begin(), prev.end(), frame.begin());
             });
+            for (double& v : frame) v = stage_transform(i, v);
           }
           if (!tail) {
             s.write(out, [&](std::span<double> next) {

@@ -2,11 +2,14 @@
 // default, far more tasks than any reasonable host has PUs. Each peer
 // publishes a fresh chunk every round and folds its left neighbour's
 // chunk into a running sum. Communication is the periodic ring; the
-// stress is in the thread count — with PerTask control threads the run
-// holds 2*tasks live threads, so the 1-PU pathologies the ROADMAP names
-// (yield storms, futex convoys, grant bursts against a parked consumer)
-// are exercised on any machine. Verifies against a closed-form replay
-// with identical summation order, so equality is exact.
+// stress is in the thread count — under the default Direct control a run
+// holds one live thread per task, under the opt-in PerTask control 2*tasks
+// (each task's compute thread plus its control thread), and under
+// SharedPool tasks plus the pool's threads. Either way the 1-PU
+// pathologies the ROADMAP names (yield storms, futex convoys, grant bursts
+// against a parked consumer) are exercised on any machine. Verifies
+// against a closed-form replay with identical summation order, so
+// equality is exact.
 
 #include <numeric>
 #include <sstream>

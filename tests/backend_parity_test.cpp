@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "comm/comm_matrix.h"
 #include "comm/patterns.h"
 #include "lk23/kernel.h"
 #include "lk23/lk23_program.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "orwl/backend.h"
 #include "orwl/program.h"
 
@@ -84,6 +88,54 @@ TEST(BackendParity, SimWithoutEmulationRefusesFetch) {
   SimBackend sim(topo::Topology::flat(4));
   p.run(sim);
   EXPECT_THROW(sim.fetch(ring.stages[0]), ContractError);
+}
+
+// A run copies its runtime's metric registry into RunReport::metrics only
+// while the detailed-metrics or the tracing gate is on; the registry
+// itself holds the run's grant counts either way. Both backends that
+// execute: the runtime and the emulating sim.
+TEST(BackendParity, ReportCarriesMetricsOnlyWhileAGateIsOn) {
+  const bool prev_detail = obs::enable_detailed_metrics(false);
+  const bool prev_trace = obs::enable_tracing(false);
+  const auto counter = [](const obs::RegistrySnapshot& snap,
+                          const std::string& name) {
+    for (const auto& [n, v] : snap.counters)
+      if (n == name) return v;
+    ADD_FAILURE() << "no counter " << name;
+    return std::uint64_t{0};
+  };
+  const auto topo = topo::Topology::synthetic("pack:2 core:2 pu:1");
+  RuntimeBackend runtime;
+  SimBackend emulating(topo.clone(), sim::LinkCost::defaults_for(topo),
+                       {.emulate = true});
+  for (Backend* backend : {static_cast<Backend*>(&runtime),
+                           static_cast<Backend*>(&emulating)}) {
+    for (const std::string gate : {"none", "detailed metrics", "tracing"}) {
+      SCOPED_TRACE(std::string(backend == &runtime ? "runtime" : "sim") +
+                   ", gate " + gate);
+      obs::enable_detailed_metrics(gate == "detailed metrics");
+      // Tracing may be compiled out; its gate then stays off.
+      obs::enable_tracing(gate == "tracing");
+      const bool copied =
+          obs::detailed_metrics_enabled() || obs::tracing_enabled();
+      Program p;
+      define_ring(p, 4, 10);
+      const RunReport rep = p.run(*backend);
+      const obs::RegistrySnapshot registry =
+          backend->instrumented_runtime()->metrics().snapshot();
+      EXPECT_EQ(counter(registry, "orwl.grants.read") +
+                    counter(registry, "orwl.grants.write"),
+                rep.grants);
+      if (copied) {
+        EXPECT_EQ(rep.metrics.counters, registry.counters);
+        EXPECT_EQ(rep.metrics.histograms.size(), registry.histograms.size());
+      } else {
+        EXPECT_TRUE(rep.metrics.empty());
+      }
+    }
+  }
+  obs::enable_tracing(prev_trace);
+  obs::enable_detailed_metrics(prev_detail);
 }
 
 TEST(BackendParity, Lk23ProgramMatchesBlockedReference) {

@@ -174,9 +174,10 @@ TEST(Workloads, EveryWaitStrategyAndControlModeMatchesTheDefaultRun) {
 }
 
 // The oversubscription gate (ROADMAP stress tier): tasks far beyond the
-// PU count — on the 1-PU CI hosts this is 32 compute + 32 control
-// threads convoying on one core — must still verify bit-exactly, bound
-// or unbound. Run on the runtime default wait strategy and on `block`.
+// PU count — on the 1-PU CI hosts this is 32 compute threads (one per
+// task under the default Direct control) convoying on one core — must
+// still verify bit-exactly, bound or unbound. Run on the runtime default
+// wait strategy and on `block`.
 void run_oversubscribed(std::optional<sync::WaitStrategy> ws) {
   Program p;
   const Built built = get("oversub").build(
@@ -196,6 +197,28 @@ TEST(Workloads, OversubscriptionStressTasksFarBeyondPUs) {
 
 TEST(Workloads, OversubscriptionStressTasksFarBeyondPUsBlocking) {
   run_oversubscribed(sync::WaitStrategy::block());
+}
+
+// Runs `workload` at `params` on RuntimeBackend and on the emulating
+// SimBackend, and verifies each run against the workload's reference.
+void check_both(const char* workload, const Params& params) {
+  SCOPED_TRACE(std::string(workload) + ", tasks " +
+               std::to_string(params.tasks) + ", size " +
+               std::to_string(params.size) + ", iterations " +
+               std::to_string(params.iterations));
+  const auto check = [&](Backend& backend, const char* name) {
+    Program p;
+    const Built built = get(workload).build(p, params);
+    p.run(backend);
+    std::string why;
+    EXPECT_TRUE(built.verify(backend, why)) << name << ": " << why;
+  };
+  RuntimeBackend runtime;
+  check(runtime, "runtime");
+  const auto topo = topo::Topology::synthetic("pack:2 core:2 pu:1");
+  SimBackend emulating(topo.clone(), sim::LinkCost::defaults_for(topo),
+                       {.emulate = true});
+  check(emulating, "emulating sim");
 }
 
 // stencil2d's sweep treats a block's first and last row and its two edge
@@ -219,26 +242,6 @@ TEST(Workloads, OversubscriptionStressTasksFarBeyondPUsBlocking) {
 // `size`, not by the grid, so it runs one small size; at 1 iteration it
 // has no transpose phase, at 2 and 4 it runs both phases.
 TEST(Workloads, GridWorkloadsMatchReferenceOnEveryGeometry) {
-  const auto topo = topo::Topology::synthetic("pack:2 core:2 pu:1");
-  const auto check = [](const char* workload, const Params& params,
-                        Backend& backend, const char* name) {
-    Program p;
-    const Built built = get(workload).build(p, params);
-    p.run(backend);
-    std::string why;
-    EXPECT_TRUE(built.verify(backend, why)) << name << ": " << why;
-  };
-  const auto check_both = [&](const char* workload, const Params& params) {
-    SCOPED_TRACE(std::string(workload) + ", tasks " +
-                 std::to_string(params.tasks) + ", size " +
-                 std::to_string(params.size) + ", iterations " +
-                 std::to_string(params.iterations));
-    RuntimeBackend runtime;
-    check(workload, params, runtime, "runtime");
-    SimBackend emulating(topo.clone(), sim::LinkCost::defaults_for(topo),
-                         {.emulate = true});
-    check(workload, params, emulating, "emulating sim");
-  };
   for (const char* workload : {"stencil2d", "wavefront"})
     for (const int tasks : {1, 2, 3, 4, 6, 9})
       for (const long size : {2, 3, 5, 7, 16, 33})
@@ -289,6 +292,55 @@ TEST(Workloads, GridWorkloadsGrantEveryDeclaredAccess) {
       }
     }
   }
+}
+
+// An alltoall peer copies the n - 1 chunks it reads into one buffer and
+// folds them in groups of three, the chunks after the last group alone;
+// a pipeline stage copies each frame before transforming it. Both are
+// checked exact against their references at n - 1 = 0 chunks (nothing to
+// read), 1 and 2 (no group), 3 (one group), 4 (a group and one left
+// over), 6 (two groups) and 8 (two groups and two left over), from
+// one-element chunks up, and over rounds that carry each peer's sum and
+// the hand-off buffers from one round into the next. A chunk folded twice
+// or left out shows; the order of the adds cannot: every chunk value and
+// every partial sum is a multiple of 1/256 far below 2^45, so each add is
+// exact.
+TEST(Workloads, ExchangeWorkloadsMatchReferenceOnEveryShape) {
+  for (const char* workload : {"alltoall", "pipeline"})
+    for (const int tasks : {1, 2, 3, 4, 5, 7, 9})
+      for (const long size : {1, 2, 3, 7, 33})
+        for (const int iterations : {1, 2, 5})
+          check_both(workload, {.tasks = tasks, .size = size,
+                                .iterations = iterations});
+}
+
+// Every declared access of an exchange workload is granted once per
+// round. An alltoall peer writes its chunk, reads the n - 1 others and
+// writes its sum: n + 1 grants for each of n peers. A pipeline of n stages
+// writes and reads each of its n - 1 hand-off buffers and writes the
+// checksum store once: 2n - 1 grants.
+TEST(Workloads, ExchangeWorkloadsGrantEveryDeclaredAccess) {
+  for (const int n : {1, 2, 3, 4, 5, 6, 7})
+    for (const int T : {1, 2, 5}) {
+      const auto tasks = static_cast<std::uint64_t>(n);
+      const auto t = static_cast<std::uint64_t>(T);
+      const struct {
+        const char* name;
+        std::uint64_t grants;
+      } expected[] = {{"alltoall", t * tasks * (tasks + 1)},
+                      {"pipeline", t * (2 * tasks - 1)}};
+      for (const auto& e : expected) {
+        SCOPED_TRACE(std::string(e.name) + ", tasks " + std::to_string(n) +
+                     ", T " + std::to_string(T));
+        Program p;
+        const Built built =
+            get(e.name).build(p, {.tasks = n, .size = 4, .iterations = T});
+        RuntimeBackend backend;
+        EXPECT_EQ(p.run(backend).grants, e.grants);
+        std::string why;
+        EXPECT_TRUE(built.verify(backend, why)) << why;
+      }
+    }
 }
 
 TEST(Workloads, SingleTaskDegenerateCasesRun) {
