@@ -117,4 +117,44 @@ CommMatrix CommMatrix::load_csv(std::istream& is) {
   return m;
 }
 
+CommMatrix sharing_matrix(int tasks,
+                          const std::vector<std::size_t>& location_bytes,
+                          const std::vector<std::pair<int, int>>& accesses) {
+  // Group the accesses by location in one counting-sort pass.
+  const std::size_t nloc = location_bytes.size();
+  std::vector<std::size_t> first(nloc + 1, 0);
+  for (const auto& [task, loc] : accesses) {
+    ORWL_CHECK_MSG(task >= 0 && task < tasks && loc >= 0 &&
+                       static_cast<std::size_t>(loc) < nloc,
+                   "access (" << task << ',' << loc << ") out of range");
+    ++first[static_cast<std::size_t>(loc) + 1];
+  }
+  for (std::size_t l = 0; l < nloc; ++l) first[l + 1] += first[l];
+  std::vector<int> by_location(accesses.size());
+  std::vector<std::size_t> next(first.begin(), first.end() - 1);
+  for (const auto& [task, loc] : accesses)
+    by_location[next[static_cast<std::size_t>(loc)]++] = task;
+
+  CommMatrix m(tasks);
+  // Last location each task was listed for: a task counts once per
+  // location however many accesses it holds there.
+  std::vector<std::size_t> seen_at(static_cast<std::size_t>(tasks), nloc);
+  std::vector<int> sharers;
+  for (std::size_t l = 0; l < nloc; ++l) {
+    const auto bytes = static_cast<double>(location_bytes[l]);
+    if (bytes == 0.0) continue;
+    sharers.clear();
+    for (std::size_t k = first[l]; k < first[l + 1]; ++k) {
+      const auto t = static_cast<std::size_t>(by_location[k]);
+      if (seen_at[t] == l) continue;
+      seen_at[t] = l;
+      sharers.push_back(by_location[k]);
+    }
+    for (std::size_t i = 0; i < sharers.size(); ++i)
+      for (std::size_t j = i + 1; j < sharers.size(); ++j)
+        m.add(sharers[i], sharers[j], bytes);
+  }
+  return m;
+}
+
 }  // namespace orwl::comm

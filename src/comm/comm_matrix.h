@@ -4,8 +4,10 @@
 // is the number of bytes threads i and j exchange per iteration. The matrix
 // is kept symmetric: at(i, j) == at(j, i).
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace orwl::comm {
@@ -53,5 +55,17 @@ class CommMatrix {
   int order_ = 0;
   std::vector<double> w_;  // row-major order_ x order_
 };
+
+/// The static sharing matrix of a program (paper Sec. II, "we cluster
+/// threads that share data"): every pair of distinct tasks holding an
+/// access to the same location gets an affinity of that location's size,
+/// reader-reader pairs included, since they share the buffer in cache even
+/// though no bytes flow between them. `accesses` lists (task, location)
+/// pairs, repeats allowed; `location_bytes[l]` is location l's size.
+/// Entries are sums of whole byte counts, so they do not depend on the
+/// order of `accesses`. Time O(tasks + locations + accesses + pairs).
+CommMatrix sharing_matrix(int tasks,
+                          const std::vector<std::size_t>& location_bytes,
+                          const std::vector<std::pair<int, int>>& accesses);
 
 }  // namespace orwl::comm

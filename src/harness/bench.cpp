@@ -16,6 +16,7 @@
 #include "sim/calibration.h"
 #include "sim/simulator.h"
 #include "support/assert.h"
+#include "support/time.h"
 #include "topo/topology.h"
 
 namespace orwl::harness {
@@ -155,8 +156,13 @@ CaseResult run_case(const CaseSpec& spec) {
   // The recorded epoch trace covers the static phase only; the feedback
   // phase re-runs with the measured matrix and would overwrite it.
   bool record_epochs = true;
+  // Set-up of every static-phase execution on the timing backend, warmup
+  // included: the build and placement, plus the part of Program::run that
+  // RunReport::seconds leaves out (perfbench's `setup_s`).
+  std::vector<double> setups;
   const auto run_on = [&](Backend& backend, place::Policy policy,
                           const std::optional<comm::CommMatrix>& matrix) {
+    WallTimer build_timer;
     Program p;
     built = wl.build(p, spec.params);
     p.place(policy, {}, spec.seed);
@@ -164,7 +170,12 @@ CaseResult run_case(const CaseSpec& spec) {
     if (spec.replacement.enabled()) p.replacement(spec.replacement);
     if (spec.wait) p.wait_strategy(*spec.wait);
     if (spec.memory != mem::MemoryPolicy::Heap) p.memory_policy(spec.memory);
+    const double build_s = build_timer.seconds();
+    WallTimer run_timer;
     RunReport rep = p.run(backend);
+    const double run_s = run_timer.seconds();
+    if (record_epochs && &backend == timing.get())
+      setups.push_back(build_s + run_s - rep.seconds);
     res.grants = rep.grants;
     res.placed = rep.placed;
     if (record_epochs) {
@@ -202,6 +213,9 @@ CaseResult run_case(const CaseSpec& spec) {
   // Phase 1: the requested policy on the workload's STATIC pattern.
   res.time = time_phase(spec.policy, std::nullopt, need_fetch);
   res.num_tasks = built.num_tasks;
+  if (spec.backend == "runtime")
+    res.setup = summarize(
+        std::vector<double>(setups.begin() + spec.warmup, setups.end()));
   if (spec.verify) {
     res.verify_ran = true;
     res.verified = check(res.verify_error);
@@ -315,6 +329,10 @@ void write_json(std::ostream& os, const std::vector<CaseResult>& results) {
       json.member("grants", r.grants);
       json.member("placed", r.placed);
       write_stats(json, "seconds", r.time);
+      // Runtime cases only: a sim case has no set-up apart from its
+      // prediction, and the sim recording stays field-identical.
+      if (r.spec.backend == "runtime")
+        write_stats(json, "setup_seconds", r.setup);
       json.member("verify_ran", r.verify_ran);
       json.member("verified", r.verified);
       if (!r.verify_error.empty())

@@ -88,6 +88,10 @@ struct CaseResult {
   CaseSpec spec;
   int num_tasks = 0;
   Stats time;  ///< static-pattern placement timings
+  /// Runtime backend only: set-up per static-phase execution, as perfbench
+  /// defines `setup_s` — the program build and placement plus Program::run
+  /// wall time minus RunReport::seconds. All zero on the sim backend.
+  Stats setup;
   std::uint64_t grants = 0;
   bool placed = false;
   bool verify_ran = false;

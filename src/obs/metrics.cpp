@@ -61,6 +61,25 @@ Histogram& Registry::histogram(const std::string& name) {
   return get_or_create(histograms_, name);
 }
 
+Histogram& HistogramFamily::append() {
+  sync::LockGuard lock(mu_);
+  members_.push_back(std::make_unique<Histogram>());
+  return *members_.back();
+}
+
+std::size_t HistogramFamily::size() const {
+  sync::LockGuard lock(mu_);
+  return members_.size();
+}
+
+HistogramFamily& Registry::histogram_family(const std::string& prefix) {
+  sync::LockGuard lock(mu_);
+  for (const auto& f : families_)
+    if (f->prefix_ == prefix) return *f;
+  families_.push_back(std::make_unique<HistogramFamily>(prefix));
+  return *families_.back();
+}
+
 RegistrySnapshot Registry::snapshot() const {
   RegistrySnapshot out;
   {
@@ -71,11 +90,21 @@ RegistrySnapshot Registry::snapshot() const {
     out.gauges.reserve(gauges_.size());
     for (const auto& [name, g] : gauges_)
       out.gauges.emplace_back(name, g->read());
-    out.histograms.reserve(histograms_.size());
+    std::size_t histograms = histograms_.size();
+    for (const auto& f : families_) histograms += f->size();
+    out.histograms.reserve(histograms);
     for (const auto& [name, h] : histograms_) {
       HistogramSnapshot snap = h->snapshot();
       snap.name = name;
       out.histograms.push_back(std::move(snap));
+    }
+    for (const auto& f : families_) {
+      sync::LockGuard family_lock(f->mu_);
+      for (std::size_t i = 0; i < f->members_.size(); ++i) {
+        HistogramSnapshot snap = f->members_[i]->snapshot();
+        snap.name = f->prefix_ + std::to_string(i);
+        out.histograms.push_back(std::move(snap));
+      }
     }
   }
   std::sort(out.counters.begin(), out.counters.end());

@@ -13,9 +13,10 @@
 // subsystem first — "orwl.grants.read", "orwl.wait_rounds/h3",
 // "trace.dropped". A per-instance suffix ("/h<id>") comes last.
 //
-// Metric objects returned by Registry::counter()/gauge()/histogram() are
-// stable references, valid for the registry's lifetime — look up once at
-// construction, then record lock-free.
+// Metric objects returned by Registry::counter()/gauge()/histogram() and
+// HistogramFamily::append() are stable references, valid for the
+// registry's lifetime — look up once at construction, then record
+// lock-free.
 
 #include <array>
 #include <atomic>
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/thread_annotations.h"
@@ -115,6 +117,29 @@ class alignas(sync::kCacheLine) Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
+/// Histograms told apart by an index: member i is named `prefix` + i
+/// ("orwl.wait_rounds/h" + "3"), and the name is built only by
+/// Registry::snapshot(). Appending a member builds no name and looks none
+/// up, so a runtime registers its per-handle histograms in constant time
+/// each. Members are allocated apart (each Histogram on its own lines).
+class HistogramFamily {
+ public:
+  explicit HistogramFamily(std::string prefix) : prefix_(std::move(prefix)) {}
+  HistogramFamily(const HistogramFamily&) = delete;
+  HistogramFamily& operator=(const HistogramFamily&) = delete;
+
+  /// Add member number size() and return it.
+  [[nodiscard]] Histogram& append();
+  [[nodiscard]] std::size_t size() const;
+
+ private:
+  friend class Registry;
+
+  const std::string prefix_;
+  mutable sync::Mutex mu_;
+  std::vector<std::unique_ptr<Histogram>> members_ ORWL_GUARDED_BY(mu_);
+};
+
 /// Everything a registry knew at one quiescent point, sorted by name.
 struct RegistrySnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
@@ -138,8 +163,12 @@ class Registry {
   [[nodiscard]] Counter& counter(const std::string& name);
   [[nodiscard]] Gauge& gauge(const std::string& name);
   [[nodiscard]] Histogram& histogram(const std::string& name);
+  /// The family whose members are named `prefix` + index. Its members are
+  /// not reachable through histogram(name).
+  [[nodiscard]] HistogramFamily& histogram_family(const std::string& prefix);
 
   /// Zero-valued metrics are kept: a counter that never fired is signal.
+  /// Family members are listed among the histograms under their names.
   [[nodiscard]] RegistrySnapshot snapshot() const;
 
  private:
@@ -150,6 +179,7 @@ class Registry {
   Slots<Counter> counters_ ORWL_GUARDED_BY(mu_);
   Slots<Gauge> gauges_ ORWL_GUARDED_BY(mu_);
   Slots<Histogram> histograms_ ORWL_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<HistogramFamily>> families_ ORWL_GUARDED_BY(mu_);
 };
 
 /// Process-global registry for metrics with no natural owner (the

@@ -22,7 +22,9 @@ namespace orwl {
 class LocationBuffer {
  public:
   /// `storage` may be empty (pure synchronization location). `sink` is
-  /// non-owning (the Runtime) and must outlive the buffer.
+  /// non-owning (the Runtime) and must outlive the buffer. The FIFO starts
+  /// at its smallest ring; whoever registers a request owner on it sizes
+  /// it with FifoQueue::reserve_owners (Runtime::add_handle, ipc attach).
   LocationBuffer(LocationId id, mem::Segment storage, std::string name,
            GrantSink* sink);
 
@@ -57,17 +59,18 @@ class LocationBuffer {
   /// `port` is non-owning and must outlive the buffer's use.
   void set_port(RequestPort* port) { port_ = port; }
 
-  /// Task that last held a Write grant; -1 initially. Used by the
-  /// instrumentation to attribute read bytes to a producer.
-  [[nodiscard]] TaskId last_writer() const {
+  /// Handle that last held a Write grant; -1 initially and after a peer
+  /// process's Write. Used by the instrumentation to attribute read bytes
+  /// to a producer.
+  [[nodiscard]] HandleId last_writer() const {
     // order: relaxed — only read/written from the grant announcement path,
     // which the queue's combiner role serializes (sync/combiner.h).
     return last_writer_.load(std::memory_order_relaxed);
   }
-  void set_last_writer(TaskId t) {
+  void set_last_writer(HandleId h) {
     // order: relaxed — see last_writer(): the combiner role serializes
     // all access.
-    last_writer_.store(t, std::memory_order_relaxed);
+    last_writer_.store(h, std::memory_order_relaxed);
   }
 
  private:
@@ -76,7 +79,7 @@ class LocationBuffer {
   mem::Segment storage_;
   FifoQueue queue_;
   RequestPort* port_ = &queue_;
-  std::atomic<TaskId> last_writer_{-1};
+  std::atomic<HandleId> last_writer_{-1};
 };
 
 }  // namespace orwl

@@ -66,28 +66,14 @@ void TaskBuilder::declare(LocationId loc, AccessMode mode, AccessOpts opts) {
 }
 
 comm::CommMatrix Program::static_comm_matrix() const {
-  // Same rule as Runtime::static_comm_matrix(): every pair of tasks
-  // holding handles on the same location gets an affinity of the
-  // location's size ("we cluster threads that share data").
-  comm::CommMatrix m(num_tasks());
-  for (LocationId loc = 0; loc < num_locations(); ++loc) {
-    const auto bytes =
-        static_cast<double>(locations_[static_cast<std::size_t>(loc)].bytes);
-    if (bytes == 0.0) continue;
-    std::vector<TaskId> sharers;
-    for (TaskId t = 0; t < num_tasks(); ++t) {
-      for (const AccessDecl& a :
-           tasks_[static_cast<std::size_t>(t)].accesses) {
-        if (a.location != loc) continue;
-        if (std::find(sharers.begin(), sharers.end(), t) == sharers.end())
-          sharers.push_back(t);
-      }
-    }
-    for (std::size_t i = 0; i < sharers.size(); ++i)
-      for (std::size_t j = i + 1; j < sharers.size(); ++j)
-        m.add(sharers[i], sharers[j], bytes);
-  }
-  return m;
+  std::vector<std::size_t> bytes;
+  bytes.reserve(locations_.size());
+  for (const LocationDecl& loc : locations_) bytes.push_back(loc.bytes);
+  std::vector<std::pair<int, int>> accesses;
+  for (TaskId t = 0; t < num_tasks(); ++t)
+    for (const AccessDecl& a : tasks_[static_cast<std::size_t>(t)].accesses)
+      accesses.emplace_back(t, a.location);
+  return comm::sharing_matrix(num_tasks(), bytes, accesses);
 }
 
 std::vector<std::pair<int, int>> Program::prime_sequence() const {

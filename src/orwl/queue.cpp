@@ -36,9 +36,10 @@ void FifoQueue::check_not_reentered() const {
 #endif
 }
 
-FifoQueue::FifoQueue(GrantSink* sink) : sink_(sink) {
+FifoQueue::FifoQueue(GrantSink* sink, std::size_t capacity) : sink_(sink) {
   ORWL_CHECK_MSG(sink_ != nullptr, "FifoQueue needs a grant sink");
-  ensure_capacity(kDefaultCapacity);
+  ORWL_CHECK_MSG(capacity >= 1, "a FifoQueue ring needs at least one slot");
+  ensure_capacity(capacity);
 }
 
 void FifoQueue::ensure_capacity(std::size_t want) {
@@ -135,9 +136,11 @@ void FifoQueue::enqueue(Request& req) {
   const Ticket t = tail_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[t & mask_];
   // Ring backpressure: wait for the slot's previous lap to be reclaimed.
-  // reserve_owners sizing makes this spin unreachable in runtime use (the
-  // ORWL in-flight bound is 2 per owner, and the ring always exceeds
-  // 2*owners); it only throttles raw-queue stress that overcommits.
+  // In runtime use the ring is the power of two >= 2 * owners + 2 that
+  // reserve_owners sized, so an owner keeping the ORWL bound (at most 2
+  // requests in flight, reclaimed in order) never waits here. A request
+  // beyond it waits until the head is reclaimed: raw-queue stress that
+  // overcommits, or an inserter that reserved no owner.
   // order: acquire — pairs with the combiner's reclaiming release store,
   // so the slot's previous-lap fields are fully dead before we write.
   sync::spin_until(

@@ -155,12 +155,15 @@ class RequestPort {
 
 class FifoQueue : public RequestPort {
  public:
-  /// Ring capacity a fresh queue starts with; generous enough for every
-  /// direct-queue test/bench. Runtimes size precisely via reserve_owners.
+  /// Ring capacity a fresh queue starts with unless told otherwise;
+  /// generous enough for every direct-queue test/bench. A runtime location
+  /// starts at the smallest ring and is sized by reserve_owners.
   static constexpr std::size_t kDefaultCapacity = 256;
 
-  /// `sink` is non-owning and must outlive the queue.
-  explicit FifoQueue(GrantSink* sink);
+  /// `sink` is non-owning and must outlive the queue. The ring starts at
+  /// `capacity` slots, rounded up to a power of two.
+  explicit FifoQueue(GrantSink* sink,
+                     std::size_t capacity = kDefaultCapacity);
 
   FifoQueue(const FifoQueue&) = delete;
   FifoQueue& operator=(const FifoQueue&) = delete;

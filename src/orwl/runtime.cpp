@@ -1,6 +1,5 @@
 #include "orwl/runtime.h"
 
-#include <algorithm>
 #include <exception>
 #include <mutex>
 
@@ -18,7 +17,11 @@ namespace orwl {
 Handle& TaskContext::handle(HandleId h) { return runtime_.handle(h); }
 
 Runtime::Runtime(RuntimeOptions opts)
-    : opts_(opts), arena_({.policy = opts.memory}), stats_(0, metrics_) {
+    : opts_(opts),
+      arena_({.policy = opts.memory}),
+      stats_(0, metrics_),
+      wait_rounds_(metrics_.histogram_family("orwl.wait_rounds/h")),
+      acquire_ns_(metrics_.histogram_family("orwl.acquire_ns/h")) {
   if (opts_.control == RuntimeOptions::ControlMode::SharedPool) {
     ORWL_CHECK_MSG(opts_.shared_control_threads >= 1,
                    "shared control pool needs at least one thread");
@@ -40,6 +43,7 @@ LocationId Runtime::add_location(std::size_t bytes, std::string name) {
       id, arena_.allocate(bytes, mem::ZeroFill::Deferred), std::move(name),
       static_cast<GrantSink*>(this)));
   locations_.back()->queue().set_batch_grants(opts_.batch_grants);
+  stats_.add_location(bytes);
   return id;
 }
 
@@ -54,6 +58,7 @@ LocationId Runtime::add_shared_location(std::span<std::byte> bytes,
       id, mem::Segment::external_view(bytes.data(), bytes.size()),
       std::move(name), static_cast<GrantSink*>(this)));
   locations_.back()->queue().set_batch_grants(opts_.batch_grants);
+  stats_.add_location(bytes.size());
   return id;
 }
 
@@ -85,7 +90,8 @@ TaskId Runtime::add_task(std::string name, TaskFn fn) {
   TaskRec rec;
   rec.name = std::move(name);
   rec.fn = std::move(fn);
-  rec.events = std::make_unique<EventQueue>(opts_.wait);
+  if (opts_.control == RuntimeOptions::ControlMode::PerTask)
+    rec.events = std::make_unique<EventQueue>(opts_.wait);
   tasks_.push_back(std::move(rec));
   stats_.resize(static_cast<int>(tasks_.size()));
   return id;
@@ -99,18 +105,19 @@ HandleId Runtime::add_handle(TaskId task, LocationId location, AccessMode mode,
                  "unknown location " << location);
   const HandleId id = static_cast<HandleId>(handles_.size());
   LocationBuffer& loc = *locations_[static_cast<std::size_t>(location)];
-  // One more request owner on this location's ring: keep the ORWL
-  // in-flight bound (2 requests per owner) below ring capacity so
-  // release_and_renew can never fill it (see FifoQueue::reserve_owners).
+  // One more request owner on this location's ring, which grows to the
+  // power of two >= 2 * owners + 2: the ORWL in-flight bound (2 requests
+  // per owner) stays below capacity, so release_and_renew can never fill
+  // it (see FifoQueue::reserve_owners).
   loc.queue().reserve_owners(1);
   handles_.push_back(std::make_unique<Handle>(id, task, loc, mode,
                                               opts_.wait));
+  stats_.add_handle(task, location, mode);
   // Per-handle observability: wait-length and acquire-latency histograms,
-  // named by handle so the dump/report can attribute contention.
-  const std::string suffix = "/h" + std::to_string(id);
-  handles_.back()->set_metrics(
-      &metrics_.histogram("orwl.wait_rounds" + suffix),
-      &metrics_.histogram("orwl.acquire_ns" + suffix));
+  // member `id` of each family, so snapshots name them by handle
+  // ("orwl.wait_rounds/h<id>") and the dump/report can attribute
+  // contention.
+  handles_.back()->set_metrics(&wait_rounds_.append(), &acquire_ns_.append());
   if (prime) prime_order_.push_back(id);
   return id;
 }
@@ -311,7 +318,7 @@ void Runtime::on_grant(Request& req) {
     // Proxied peer request: the owner is not a local task, so neither the
     // task table nor the flow shards may be indexed with it — hand the
     // grant to the transport sink, which publishes it into the shm ring.
-    if (req.mode == AccessMode::Write) loc.set_last_writer(kRemoteOwner);
+    if (req.mode == AccessMode::Write) loc.set_last_writer(-1);
     ORWL_ASSERT_MSG(remote_sink_ != nullptr,
                     "remote-owned grant with no remote sink installed");
     remote_sink_->on_grant(req);
@@ -319,12 +326,11 @@ void Runtime::on_grant(Request& req) {
   }
   // Reads consume the last writer's bytes; a write-after-write moves
   // ownership of the buffer — either way the flow edge is the same.
-  // (record_flow ignores negative producers, so a remote last writer
-  // simply drops the edge — cross-process flows are the transport's
-  // metrics, not this Instrument's.)
-  if (opts_.record_flows)
-    stats_.record_flow(loc.last_writer(), req.owner, loc.size());
-  if (req.mode == AccessMode::Write) loc.set_last_writer(req.owner);
+  // (record_flow ignores a negative producer, so after a remote write the
+  // edge is dropped — cross-process flows are the transport's metrics,
+  // not this Instrument's.)
+  if (opts_.record_flows) stats_.record_flow(loc.last_writer(), req.handle);
+  if (req.mode == AccessMode::Write) loc.set_last_writer(req.handle);
   route_grant(req);
 }
 
@@ -383,15 +389,15 @@ void Runtime::on_grant_batch(std::span<Request* const> reqs) {
       // not reach the task table or flow shards — the transport publishes
       // it into the shm ring. Batches are read runs, but keep the
       // last-writer discipline symmetric with on_grant anyway.
-      if (req->mode == AccessMode::Write) loc.set_last_writer(kRemoteOwner);
+      if (req->mode == AccessMode::Write) loc.set_last_writer(-1);
       ORWL_ASSERT_MSG(remote_sink_ != nullptr,
                       "remote-owned grant with no remote sink installed");
       remote_sink_->on_grant(*req);
       continue;
     }
     if (opts_.record_flows)
-      stats_.record_flow(loc.last_writer(), req->owner, loc.size());
-    if (req->mode == AccessMode::Write) loc.set_last_writer(req->owner);
+      stats_.record_flow(loc.last_writer(), req->handle);
+    if (req->mode == AccessMode::Write) loc.set_last_writer(req->handle);
     local.push_back(req);
   }
   route_grant_batch({local.data(), local.size()});
@@ -587,7 +593,8 @@ void Runtime::run() {
   }
 
   for (auto& th : compute) th.join();
-  for (auto& rec : tasks_) rec.events->stop();
+  for (auto& rec : tasks_)
+    if (rec.events) rec.events->stop();
   for (auto& q : shared_queues_) q->stop();
   for (auto& th : control) th.join();
 
@@ -595,26 +602,13 @@ void Runtime::run() {
 }
 
 comm::CommMatrix Runtime::static_comm_matrix() const {
-  // "We cluster threads that share data" (paper Sec. II): every pair of
-  // tasks holding handles on the same location gets an affinity of the
-  // location's size — including reader-reader pairs, which share the
-  // buffer in cache even though no bytes flow between them.
-  comm::CommMatrix m(num_tasks());
-  for (const auto& loc : locations_) {
-    const auto bytes = static_cast<double>(loc->size());
-    if (bytes == 0.0) continue;
-    std::vector<TaskId> sharers;
-    for (const auto& h : handles_) {
-      if (h->location() != loc->id()) continue;
-      if (std::find(sharers.begin(), sharers.end(), h->task()) ==
-          sharers.end())
-        sharers.push_back(h->task());
-    }
-    for (std::size_t i = 0; i < sharers.size(); ++i)
-      for (std::size_t j = i + 1; j < sharers.size(); ++j)
-        m.add(sharers[i], sharers[j], bytes);
-  }
-  return m;
+  std::vector<std::size_t> bytes;
+  bytes.reserve(locations_.size());
+  for (const auto& loc : locations_) bytes.push_back(loc->size());
+  std::vector<std::pair<int, int>> accesses;
+  accesses.reserve(handles_.size());
+  for (const auto& h : handles_) accesses.emplace_back(h->task(), h->location());
+  return comm::sharing_matrix(num_tasks(), bytes, accesses);
 }
 
 comm::CommMatrix Runtime::measured_comm_matrix() const {

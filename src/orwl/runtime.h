@@ -144,8 +144,8 @@ class Runtime : private GrantSink {
   /// (NUMA) locations are zero on first touch.
   LocationId add_location(std::size_t bytes, std::string name = {});
 
-  /// Create a task: one compute thread, plus one control thread in the
-  /// opt-in ControlMode::PerTask.
+  /// Create a task: one compute thread, plus one control thread and its
+  /// event queue in the opt-in ControlMode::PerTask.
   TaskId add_task(std::string name, TaskFn fn);
 
   /// Register task access to a location. When `prime` is true the runtime
@@ -280,9 +280,9 @@ class Runtime : private GrantSink {
 
   // --- communication matrices (paper Sec. II) -----------------------------
 
-  /// Static matrix derived from handle registrations: producers (Write
-  /// handles) exchange the location size with every consumer (Read handle)
-  /// and with co-producers.
+  /// Static matrix derived from handle registrations: every pair of tasks
+  /// holding handles on one location shares its size
+  /// (comm::sharing_matrix).
   [[nodiscard]] comm::CommMatrix static_comm_matrix() const;
 
   /// Measured matrix from recorded grant flows (available after run()).
@@ -304,7 +304,7 @@ class Runtime : private GrantSink {
     TaskFn fn;
     std::optional<topo::Bitmap> compute_bind;
     std::optional<topo::Bitmap> control_bind;
-    std::unique_ptr<EventQueue> events;
+    std::unique_ptr<EventQueue> events;  ///< ControlMode::PerTask only
   };
 
   /// GrantSink: called by a location FIFO (its lock held) for every newly
@@ -343,6 +343,9 @@ class Runtime : private GrantSink {
   std::vector<std::optional<topo::Bitmap>> shared_bindings_;
   obs::Registry metrics_;  // declared before stats_: Instrument borrows it
   Instrument stats_;
+  /// Per-handle histograms, member i for handle i (owned by metrics_).
+  obs::HistogramFamily& wait_rounds_;
+  obs::HistogramFamily& acquire_ns_;
 
   GrantSink* remote_sink_ = nullptr;
   bool ran_ = false;

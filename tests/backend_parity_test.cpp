@@ -155,6 +155,21 @@ TEST(BackendParity, Lk23ProgramMatchesBlockedReference) {
   EXPECT_EQ(def.num_tasks, 4 + 4 * 8);
 }
 
+// Identical static communication matrices (the program.h contract): the
+// declaration carries the same sharing structure the runtime derives from
+// the handles it was built with.
+void expect_same_static_matrix(const lk23::Spec& spec, const Runtime& rt) {
+  Program p;
+  lk23::define_lk23_program(p, spec);
+  const comm::CommMatrix ours = p.static_comm_matrix();
+  const comm::CommMatrix built = rt.static_comm_matrix();
+  ASSERT_EQ(ours.order(), built.order());
+  EXPECT_GT(ours.total_volume(), 0.0);
+  for (int i = 0; i < ours.order(); ++i)
+    for (int j = 0; j < ours.order(); ++j)
+      EXPECT_EQ(ours.at(i, j), built.at(i, j)) << i << ", " << j;
+}
+
 TEST(BackendParity, Lk23ProgramMatchesRuntimeBuild) {
   lk23::Spec spec;
   spec.n = 48;
@@ -192,17 +207,24 @@ TEST(BackendParity, Lk23ProgramMatchesRuntimeBuild) {
               static_cast<std::uint64_t>(spec.iterations);
   EXPECT_EQ(rep.grants, expected);
 
-  // Identical static communication matrices (the program.h contract): the
-  // declaration carries the same sharing structure the runtime derives
-  // from the handles it was built with.
-  Program p;
-  lk23::define_lk23_program(p, spec);
-  const comm::CommMatrix ours = p.static_comm_matrix();
-  const comm::CommMatrix built = be.runtime().static_comm_matrix();
-  ASSERT_EQ(ours.order(), built.order());
-  for (int i = 0; i < ours.order(); ++i)
-    for (int j = 0; j < ours.order(); ++j)
-      EXPECT_EQ(ours.at(i, j), built.at(i, j));
+  expect_same_static_matrix(spec, be.runtime());
+}
+
+TEST(BackendParity, Lk23StaticMatricesAgreeAt324Tasks) {
+  // 36 blocks of 9 ORWL tasks each (one main, 8 frontier ops): 324.
+  lk23::Spec spec;
+  spec.n = 72;
+  spec.iterations = 1;
+  spec.bx = 6;
+  spec.by = 6;
+  RuntimeBackend be;
+  lk23::ProgramDef def;
+  lk23::run_lk23_program(spec, place::Policy::None, be, &def);
+  ASSERT_EQ(def.num_tasks, 324);
+  EXPECT_EQ(lk23::max_abs_diff(lk23::fetch_field(be, def),
+                               lk23::blocked_reference(spec)),
+            0.0);
+  expect_same_static_matrix(spec, be.runtime());
 }
 
 TEST(BackendParity, Lk23SimDerivesThePaperDecomposition) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "comm/comm_matrix.h"
 #include "support/assert.h"
@@ -139,6 +141,30 @@ TEST(CommMatrix, ZeroOrderAllowed) {
   CommMatrix m(0);
   EXPECT_EQ(m.order(), 0);
   EXPECT_EQ(m.total_volume(), 0.0);
+}
+
+TEST(SharingMatrix, PairsEachLocationsDistinctHolders) {
+  // Location 0 (8 B): tasks 0, 1, 2, with task 1 holding two accesses.
+  // Location 1 (0 B): ignored. Location 2 (100 B): tasks 2 and 3.
+  // Location 3 (5 B): task 1 alone, so no pair.
+  const std::vector<std::size_t> bytes{8, 0, 100, 5};
+  const std::vector<std::pair<int, int>> accesses{
+      {0, 0}, {1, 0}, {1, 0}, {2, 0}, {0, 1}, {3, 1},
+      {3, 2}, {2, 2}, {1, 3}};
+  const CommMatrix m = sharing_matrix(4, bytes, accesses);
+  CommMatrix want(4);
+  want.add(0, 1, 8);
+  want.add(0, 2, 8);
+  want.add(1, 2, 8);
+  want.add(2, 3, 100);
+  EXPECT_EQ(m, want);
+
+  // The access order does not matter.
+  std::vector<std::pair<int, int>> reversed(accesses.rbegin(),
+                                            accesses.rend());
+  EXPECT_EQ(sharing_matrix(4, bytes, reversed), want);
+  EXPECT_THROW((void)sharing_matrix(4, bytes, {{4, 0}}), ContractError);
+  EXPECT_THROW((void)sharing_matrix(4, bytes, {{0, 4}}), ContractError);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // the oldest events and counts them, disabled tracing records nothing),
 // the metrics registry (log2 histogram bucketing/quantiles, get-or-create
 // stability), the Chrome trace exporter (balanced spans even from torn
-// input), the Instrument::resize construction-phase contract, and the
-// counted waiter overload feeding the wait-length histograms.
+// input), the Instrument's construction-phase contract and flow tables,
+// and the counted waiter overload feeding the wait-length histograms.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "comm/comm_matrix.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -309,9 +310,74 @@ TEST(InstrumentContract, ResizeThrowsAfterGrantRecorded) {
 TEST(InstrumentContract, ResizeThrowsAfterFlowRecorded) {
   obs::Registry reg;
   Instrument ins(4, reg);
-  ins.record_flow(0, 1, 64);
+  ins.add_location(64);
+  ins.add_handle(0, 0, AccessMode::Write);
+  ins.add_handle(1, 0, AccessMode::Read);
+  ins.record_flow(0, 1);
   EXPECT_FALSE(ins.pristine());
   EXPECT_THROW(ins.resize(8), ContractError);
+}
+
+TEST(InstrumentContract, GrowsWithTheProgramAndCountsExactFlows) {
+  // Tasks and handles are added one at a time, so the location tables
+  // cross every doubling up to 16 rows (location 0: every task writes it)
+  // and 16 columns (location 1: task 0 writes it, every task reads it).
+  // The flush reports exactly the task count and every flow of two laps
+  // of grants in registration order, recorded from several threads so
+  // they land in different shards.
+  struct Access {
+    TaskId task;
+    LocationId loc;
+    AccessMode mode;
+  };
+  const std::size_t bytes[2] = {8, 1000};
+  for (int n = 1; n <= 9; ++n) {
+    SCOPED_TRACE(n);
+    obs::Registry reg;
+    Instrument ins(0, reg);
+    ins.add_location(bytes[0]);
+    ins.add_location(bytes[1]);
+    std::vector<Access> handles;
+    const auto add = [&](TaskId t, LocationId l, AccessMode m) {
+      ins.add_handle(t, l, m);
+      handles.push_back({t, l, m});
+    };
+    for (TaskId t = 0; t < n; ++t) {
+      ins.resize(t + 1);
+      add(t, 0, AccessMode::Write);
+      if (t == 0) add(0, 1, AccessMode::Write);
+      add(t, 1, AccessMode::Read);
+    }
+    EXPECT_TRUE(ins.pristine());
+    EXPECT_EQ(ins.flow_matrix().order(), n);
+
+    comm::CommMatrix want(n);
+    HandleId last_writer[2] = {-1, -1};
+    for (int lap = 0; lap < 2; ++lap) {
+      for (HandleId h = 0; h < static_cast<HandleId>(handles.size()); ++h) {
+        const Access& a = handles[static_cast<std::size_t>(h)];
+        HandleId& last = last_writer[a.loc];
+        if (last >= 0) {
+          const TaskId from = handles[static_cast<std::size_t>(last)].task;
+          if (from != a.task)
+            want.add(from, a.task, static_cast<double>(bytes[a.loc]));
+          std::thread([&ins, last, h] { ins.record_flow(last, h); }).join();
+        }
+        if (a.mode == AccessMode::Write) last = h;
+      }
+    }
+    const comm::CommMatrix got = ins.flow_matrix();
+    ASSERT_EQ(got.order(), n);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(ins.pristine(), n == 1);  // one task: nothing flows
+
+    // Recording closed the construction phase.
+    ins.record_grant(AccessMode::Read);
+    EXPECT_FALSE(ins.pristine());
+    EXPECT_THROW(ins.resize(n + 1), ContractError);
+    EXPECT_THROW(ins.add_location(8), ContractError);
+    EXPECT_THROW(ins.add_handle(0, 0, AccessMode::Read), ContractError);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <numeric>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "orwl/runtime.h"
 #include "support/assert.h"
@@ -585,6 +587,153 @@ TEST(Runtime, InlineIdleDeliveryMatchesQueuedDelivery) {
     EXPECT_GT(q.pops, 0u);
     EXPECT_EQ(q.popped, q.grants);
   }
+}
+
+// The smallest power of two >= 2 * owners + 2: the ring reserve_owners
+// keeps the ORWL in-flight bound (2 requests per owner) below.
+std::size_t ring_for(int owners) {
+  std::size_t cap = 1;
+  while (cap < 2 * static_cast<std::size_t>(owners) + 2) cap <<= 1;
+  return cap;
+}
+
+TEST(Runtime, LocationRingsFitTheirOwners) {
+  for (int k = 1; k <= 9; ++k) {
+    Runtime rt;
+    const LocationId loc = rt.add_location(sizeof(long));
+    const LocationId other = rt.add_location(sizeof(long));
+    for (int i = 0; i < k; ++i) {
+      const TaskId t = rt.add_task("t" + std::to_string(i), [](TaskContext&) {});
+      rt.add_handle(t, loc, i == 0 ? AccessMode::Write : AccessMode::Read);
+    }
+    rt.add_handle(0, other, AccessMode::Read);
+    EXPECT_EQ(rt.location_queue(loc).capacity(), ring_for(k)) << k;
+    EXPECT_EQ(rt.location_queue(other).capacity(), ring_for(1)) << k;
+  }
+
+  // One writer and 8 readers on one location run well over 10 laps of its
+  // 32-slot ring, each round one write and 8 reads of what it wrote.
+  constexpr int kReaders = 8;
+  constexpr int kRounds = 40;
+  static_assert((kReaders + 1) * kRounds >= 10 * 32);
+  for (const sync::WaitStrategy wait :
+       {sync::WaitStrategy::block(), sync::WaitStrategy::spin_then_park(),
+        sync::WaitStrategy::spin()}) {
+    SCOPED_TRACE(sync::to_string(wait));
+    RuntimeOptions opts;
+    opts.wait = wait;
+    Runtime rt(opts);
+    const LocationId loc = rt.add_location(sizeof(long));
+    const auto step = [](Handle& h, int round) {
+      if (round + 1 == kRounds)
+        h.release();
+      else
+        h.release_and_renew();
+    };
+    const TaskId w = rt.add_task("w", [&step](TaskContext& ctx) {
+      Handle& h = ctx.handle(0);
+      for (int r = 0; r < kRounds; ++r) {
+        as_span<long>(h.acquire())[0] = r + 1;
+        step(h, r);
+      }
+    });
+    std::atomic<int> mismatches{0};
+    for (int i = 1; i <= kReaders; ++i) {
+      const TaskId t = rt.add_task(
+          "r" + std::to_string(i), [&step, &mismatches, i](TaskContext& ctx) {
+            Handle& h = ctx.handle(i);
+            for (int r = 0; r < kRounds; ++r) {
+              if (as_span<const long>(h.acquire_const())[0] != r + 1)
+                ++mismatches;
+              step(h, r);
+            }
+          });
+      ASSERT_EQ(t, i);
+    }
+    rt.add_handle(w, loc, AccessMode::Write);
+    for (int i = 1; i <= kReaders; ++i) rt.add_handle(i, loc, AccessMode::Read);
+    ASSERT_EQ(rt.location_queue(loc).capacity(), ring_for(kReaders + 1));
+    rt.run();
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(rt.stats().write_grants(), static_cast<std::uint64_t>(kRounds));
+    EXPECT_EQ(rt.stats().read_grants(),
+              static_cast<std::uint64_t>(kReaders * kRounds));
+  }
+}
+
+TEST(Runtime, PerHandleHistogramsKeepTheirNames) {
+  // Handle i acquires i + 1 times; its two histograms are named by its id
+  // and listed in name order, as every reader of a snapshot expects.
+  constexpr int kHandles = 12;
+  const bool prev = obs::enable_detailed_metrics(true);
+  Runtime rt;
+  for (int i = 0; i < kHandles; ++i) {
+    const LocationId loc = rt.add_location(sizeof(long));
+    const TaskId t = rt.add_task("t" + std::to_string(i), [i](TaskContext& ctx) {
+      Handle& h = ctx.handle(i);
+      for (int r = 0; r <= i; ++r) {
+        h.acquire();
+        if (r == i)
+          h.release();
+        else
+          h.release_and_renew();
+      }
+    });
+    ASSERT_EQ(rt.add_handle(t, loc, AccessMode::Write), i);
+  }
+  rt.run();
+  obs::enable_detailed_metrics(prev);
+
+  std::vector<std::string> want;
+  for (const char* family : {"orwl.wait_rounds/h", "orwl.acquire_ns/h"})
+    for (int i = 0; i < kHandles; ++i)
+      want.push_back(family + std::to_string(i));
+  std::sort(want.begin(), want.end());
+  ASSERT_EQ(want[2], "orwl.acquire_ns/h10");  // name order, not id order
+
+  const obs::RegistrySnapshot snap = rt.metrics().snapshot();
+  std::vector<std::string> names;
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    names.push_back(h.name);
+    const std::size_t slash = h.name.find("/h");
+    ASSERT_NE(slash, std::string::npos) << h.name;
+    const int id = std::stoi(h.name.substr(slash + 2));
+    EXPECT_EQ(h.count, static_cast<std::uint64_t>(id + 1)) << h.name;
+  }
+  EXPECT_EQ(names, want);
+}
+
+TEST(Runtime, SetUpGrowsLinearly) {
+  // Building a runtime (locations, tasks, two handles per task: a token
+  // ring) costs time linear in the program. Eight times the tasks must
+  // cost well under 24 times the time; a per-task rescan of every earlier
+  // task or handle makes it hundreds.
+  const auto build_seconds = [](int tasks) {
+    std::vector<double> samples;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      {
+        Runtime rt;
+        for (int i = 0; i < tasks; ++i) rt.add_location(sizeof(long));
+        for (int i = 0; i < tasks; ++i) {
+          rt.add_task("t" + std::to_string(i), [](TaskContext&) {});
+          rt.add_handle(i, i, AccessMode::Read);
+          rt.add_handle(i, (i + 1) % tasks, AccessMode::Write);
+        }
+        samples.push_back(std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+      }
+    }
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
+  };
+  build_seconds(32);  // warm the allocator
+  const double small = build_seconds(32);
+  const double large = build_seconds(256);
+  EXPECT_LT(large / small, 24.0)
+      << "32 tasks: " << small * 1e3 << " ms, 256 tasks: " << large * 1e3
+      << " ms";
 }
 
 }  // namespace

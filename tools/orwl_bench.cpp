@@ -233,8 +233,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  Table table({"case", "tasks", "time (median ±MAD)", "feedback time",
-               "feedback speedup", "replaced", "verified"});
+  Table table({"case", "tasks", "time (median ±MAD)", "set-up (median ±MAD)",
+               "feedback time", "feedback speedup", "replaced", "verified"});
   bool all_ok = true;
   for (const harness::CaseResult& r : results) {
     const bool ok = !r.verify_ran || r.verified;
@@ -242,6 +242,7 @@ int main(int argc, char** argv) {
     table.add_row(
         {harness::case_name(r.spec), std::to_string(r.num_tasks),
          fmt_stats(r.time),
+         r.spec.backend == "runtime" ? fmt_stats(r.setup) : std::string("-"),
          r.feedback.ran ? fmt_stats(r.feedback.time) : std::string("-"),
          r.feedback.ran ? orwl::fmt(r.feedback.speedup, 2) + "x"
                         : std::string("-"),
