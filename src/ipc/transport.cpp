@@ -108,8 +108,10 @@ void OwnerEndpoint::start() {
   // Hello (which carries the actual slot count) arrives on the pump
   // thread, possibly mid-run, so we size for the checked upper bound:
   // Hello rejects any count above the grant ring's capacity.
+  // A proxy may read, so the rings keep the margin for several readers.
   for (const LocationId loc : loc_map_)
-    rt_.location_queue(loc).reserve_owners(ch_.grants().capacity());
+    rt_.location_queue(loc).reserve_owners(ch_.grants().capacity(),
+                                           AccessMode::Read);
   rt_.set_remote_sink(&sink_);
   ch_.announce_self();
   pump_thread_ = std::thread([this] { pump(); });

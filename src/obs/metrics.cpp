@@ -35,13 +35,11 @@ HistogramSnapshot Histogram::snapshot() const {
 namespace {
 
 template <class T>
-T& get_or_create(
-    std::vector<std::pair<std::string, std::unique_ptr<T>>>& slots,
-    const std::string& name) {
-  for (auto& [n, slot] : slots)
-    if (n == name) return *slot;
-  slots.emplace_back(name, std::make_unique<T>());
-  return *slots.back().second;
+T& get_or_create(std::map<std::string, std::unique_ptr<T>, std::less<>>& slots,
+                 const std::string& name) {
+  std::unique_ptr<T>& slot = slots[name];
+  if (!slot) slot = std::make_unique<T>();
+  return *slot;
 }
 
 }  // namespace
@@ -61,58 +59,22 @@ Histogram& Registry::histogram(const std::string& name) {
   return get_or_create(histograms_, name);
 }
 
-Histogram& HistogramFamily::append() {
-  sync::LockGuard lock(mu_);
-  members_.push_back(std::make_unique<Histogram>());
-  return *members_.back();
-}
-
-std::size_t HistogramFamily::size() const {
-  sync::LockGuard lock(mu_);
-  return members_.size();
-}
-
-HistogramFamily& Registry::histogram_family(const std::string& prefix) {
-  sync::LockGuard lock(mu_);
-  for (const auto& f : families_)
-    if (f->prefix_ == prefix) return *f;
-  families_.push_back(std::make_unique<HistogramFamily>(prefix));
-  return *families_.back();
-}
-
 RegistrySnapshot Registry::snapshot() const {
+  // Each Slots map iterates in name order, so the snapshot comes sorted.
   RegistrySnapshot out;
-  {
-    sync::LockGuard lock(mu_);
-    out.counters.reserve(counters_.size());
-    for (const auto& [name, c] : counters_)
-      out.counters.emplace_back(name, c->read());
-    out.gauges.reserve(gauges_.size());
-    for (const auto& [name, g] : gauges_)
-      out.gauges.emplace_back(name, g->read());
-    std::size_t histograms = histograms_.size();
-    for (const auto& f : families_) histograms += f->size();
-    out.histograms.reserve(histograms);
-    for (const auto& [name, h] : histograms_) {
-      HistogramSnapshot snap = h->snapshot();
-      snap.name = name;
-      out.histograms.push_back(std::move(snap));
-    }
-    for (const auto& f : families_) {
-      sync::LockGuard family_lock(f->mu_);
-      for (std::size_t i = 0; i < f->members_.size(); ++i) {
-        HistogramSnapshot snap = f->members_[i]->snapshot();
-        snap.name = f->prefix_ + std::to_string(i);
-        out.histograms.push_back(std::move(snap));
-      }
-    }
+  sync::LockGuard lock(mu_);
+  out.counters.reserve(counters_.size());
+  for (const auto& [name, c] : counters_)
+    out.counters.emplace_back(name, c->read());
+  out.gauges.reserve(gauges_.size());
+  for (const auto& [name, g] : gauges_)
+    out.gauges.emplace_back(name, g->read());
+  out.histograms.reserve(histograms_.size());
+  for (const auto& [name, h] : histograms_) {
+    HistogramSnapshot snap = h->snapshot();
+    snap.name = name;
+    out.histograms.push_back(std::move(snap));
   }
-  std::sort(out.counters.begin(), out.counters.end());
-  std::sort(out.gauges.begin(), out.gauges.end());
-  std::sort(out.histograms.begin(), out.histograms.end(),
-            [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
-              return a.name < b.name;
-            });
   return out;
 }
 

@@ -13,15 +13,16 @@
 // subsystem first — "orwl.grants.read", "orwl.wait_rounds/h3",
 // "trace.dropped". A per-instance suffix ("/h<id>") comes last.
 //
-// Metric objects returned by Registry::counter()/gauge()/histogram() and
-// HistogramFamily::append() are stable references, valid for the
-// registry's lifetime — look up once at construction, then record
-// lock-free.
+// Metric objects returned by Registry::counter()/gauge()/histogram() are
+// stable references, valid for the registry's lifetime — look up once at
+// construction, then record lock-free.
 
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -117,29 +118,6 @@ class alignas(sync::kCacheLine) Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-/// Histograms told apart by an index: member i is named `prefix` + i
-/// ("orwl.wait_rounds/h" + "3"), and the name is built only by
-/// Registry::snapshot(). Appending a member builds no name and looks none
-/// up, so a runtime registers its per-handle histograms in constant time
-/// each. Members are allocated apart (each Histogram on its own lines).
-class HistogramFamily {
- public:
-  explicit HistogramFamily(std::string prefix) : prefix_(std::move(prefix)) {}
-  HistogramFamily(const HistogramFamily&) = delete;
-  HistogramFamily& operator=(const HistogramFamily&) = delete;
-
-  /// Add member number size() and return it.
-  [[nodiscard]] Histogram& append();
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  friend class Registry;
-
-  const std::string prefix_;
-  mutable sync::Mutex mu_;
-  std::vector<std::unique_ptr<Histogram>> members_ ORWL_GUARDED_BY(mu_);
-};
-
 /// Everything a registry knew at one quiescent point, sorted by name.
 struct RegistrySnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
@@ -152,7 +130,8 @@ struct RegistrySnapshot {
 };
 
 /// Named metric store. get-or-create lookups take a mutex (do them at
-/// construction time); the returned references record lock-free and stay
+/// construction time) and a name-indexed search, logarithmic in the
+/// metrics registered; the returned references record lock-free and stay
 /// valid for the registry's lifetime.
 class Registry {
  public:
@@ -163,23 +142,19 @@ class Registry {
   [[nodiscard]] Counter& counter(const std::string& name);
   [[nodiscard]] Gauge& gauge(const std::string& name);
   [[nodiscard]] Histogram& histogram(const std::string& name);
-  /// The family whose members are named `prefix` + index. Its members are
-  /// not reachable through histogram(name).
-  [[nodiscard]] HistogramFamily& histogram_family(const std::string& prefix);
 
   /// Zero-valued metrics are kept: a counter that never fired is signal.
-  /// Family members are listed among the histograms under their names.
   [[nodiscard]] RegistrySnapshot snapshot() const;
 
  private:
+  /// Metrics by name; iteration yields them in name order.
   template <class T>
-  using Slots = std::vector<std::pair<std::string, std::unique_ptr<T>>>;
+  using Slots = std::map<std::string, std::unique_ptr<T>, std::less<>>;
 
   mutable sync::Mutex mu_;
   Slots<Counter> counters_ ORWL_GUARDED_BY(mu_);
   Slots<Gauge> gauges_ ORWL_GUARDED_BY(mu_);
   Slots<Histogram> histograms_ ORWL_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<HistogramFamily>> families_ ORWL_GUARDED_BY(mu_);
 };
 
 /// Process-global registry for metrics with no natural owner (the

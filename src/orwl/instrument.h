@@ -58,6 +58,10 @@ class Instrument {
   /// to location `loc`.
   void add_handle(TaskId task, LocationId loc, AccessMode mode);
 
+  /// Count cells laid out so far: what each shard allocates at its first
+  /// flow.
+  [[nodiscard]] std::size_t cells() const { return cells_; }
+
   // --- recording (grant path) -----------------------------------------------
 
   void record_grant(AccessMode mode);

@@ -9,6 +9,6 @@ LocationBuffer::LocationBuffer(LocationId id, mem::Segment storage,
     : id_(id),
       name_(std::move(name)),
       storage_(std::move(storage)),
-      queue_(sink, /*capacity=*/1) {}
+      queue_(sink, FifoQueue::kMinCapacity) {}
 
 }  // namespace orwl

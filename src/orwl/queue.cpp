@@ -1,5 +1,7 @@
 #include "orwl/queue.h"
 
+#include <algorithm>
+
 #include "support/assert.h"
 #include "sync/waiter.h"
 
@@ -38,7 +40,9 @@ void FifoQueue::check_not_reentered() const {
 
 FifoQueue::FifoQueue(GrantSink* sink, std::size_t capacity) : sink_(sink) {
   ORWL_CHECK_MSG(sink_ != nullptr, "FifoQueue needs a grant sink");
-  ORWL_CHECK_MSG(capacity >= 1, "a FifoQueue ring needs at least one slot");
+  ORWL_CHECK_MSG(capacity >= kMinCapacity,
+                 "a FifoQueue ring needs at least " << kMinCapacity
+                                                    << " slots");
   ensure_capacity(capacity);
 }
 
@@ -86,12 +90,17 @@ void FifoQueue::ensure_capacity(std::size_t want) {
   announce_slots_.reserve(fresh_cap);
 }
 
-void FifoQueue::reserve_owners(std::size_t n) {
+void FifoQueue::reserve_owners(std::size_t n, AccessMode mode) {
   owners_ += n;
+  if (mode == AccessMode::Read) readers_ += n;
   // The ORWL discipline keeps at most 2 requests in flight per owner
   // (a Handle's two slots; a remote proxy mirrors one handle). +2 slack
-  // covers a renewal that holds both of an owner's slots mid-swap.
-  ensure_capacity(2 * owners_ + 2);
+  // covers a renewal that holds both of an owner's slots mid-swap, and a
+  // released head awaiting its releaser's combine.
+  std::size_t want = 2 * owners_ + 2;
+  // Two readers can leave released slots behind a held read (header).
+  if (readers_ >= 2) want = std::max(want, kDefaultCapacity);
+  ensure_capacity(want);
 }
 
 void FifoQueue::insert(Request& req) {
@@ -136,11 +145,11 @@ void FifoQueue::enqueue(Request& req) {
   const Ticket t = tail_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[t & mask_];
   // Ring backpressure: wait for the slot's previous lap to be reclaimed.
-  // In runtime use the ring is the power of two >= 2 * owners + 2 that
-  // reserve_owners sized, so an owner keeping the ORWL bound (at most 2
-  // requests in flight, reclaimed in order) never waits here. A request
-  // beyond it waits until the head is reclaimed: raw-queue stress that
-  // overcommits, or an inserter that reserved no owner.
+  // In runtime use reserve_owners sized the ring for its owners, so an
+  // owner keeping the ORWL bound (at most 2 requests in flight) waits
+  // here only for a reclaim already under way, or when readers renew past
+  // a held read long enough to fill the kDefaultCapacity margin (see
+  // reserve_owners). Raw-queue stress that overcommits waits here too.
   // order: acquire — pairs with the combiner's reclaiming release store,
   // so the slot's previous-lap fields are fully dead before we write.
   sync::spin_until(

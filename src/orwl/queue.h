@@ -156,12 +156,19 @@ class RequestPort {
 class FifoQueue : public RequestPort {
  public:
   /// Ring capacity a fresh queue starts with unless told otherwise;
-  /// generous enough for every direct-queue test/bench. A runtime location
-  /// starts at the smallest ring and is sized by reserve_owners.
+  /// generous enough for every direct-queue test/bench, and the margin
+  /// reserve_owners keeps for a location with two or more Read owners.
   static constexpr std::size_t kDefaultCapacity = 256;
+  /// The smallest ring a queue is built with, and where a runtime
+  /// location starts before reserve_owners sizes it: room for a writer
+  /// and a reader (2 * 2 + 2 slots), so most locations never regrow as
+  /// their handles register. (Any ring needs two slots, for a slot's
+  /// occupied state, seq t + 1, to differ from its next free lap,
+  /// t + capacity.)
+  static constexpr std::size_t kMinCapacity = 8;
 
   /// `sink` is non-owning and must outlive the queue. The ring starts at
-  /// `capacity` slots, rounded up to a power of two.
+  /// `capacity` >= kMinCapacity slots, rounded up to a power of two.
   explicit FifoQueue(GrantSink* sink,
                      std::size_t capacity = kDefaultCapacity);
 
@@ -198,12 +205,22 @@ class FifoQueue : public RequestPort {
   [[nodiscard]] std::vector<Entry> snapshot() const;
 
   /// Declare `n` additional request owners (handles or remote proxies)
-  /// that will operate on this queue; grows the ring so the ORWL
-  /// in-flight bound (2 requests per owner) can never fill it. A full
-  /// ring would deadlock release_and_renew, whose renewal must take a
-  /// slot BEFORE the current grant's slot is reclaimed. Single-threaded
-  /// setup only (Runtime::add_handle, ipc attach) — the ring is rebuilt.
-  void reserve_owners(std::size_t n);
+  /// that will issue `mode` requests on this queue, and grow the ring to
+  /// hold what they can leave in it. A full ring makes an insert wait for
+  /// the head to be reclaimed, and release_and_renew's renewal takes its
+  /// slot BEFORE the current grant's slot is given up. Each owner keeps at
+  /// most 2 requests in flight, and slots are reclaimed in ticket order:
+  /// - With at most one Read owner, a granted request behind one still
+  ///   held cannot exist, so no released slot waits for another owner's
+  ///   release: the power of two >= 2 * owners + 2 suffices.
+  /// - With two or more, a reader that holds its grant pins the head while
+  ///   another renews past it, and each renewal leaves a released slot
+  ///   behind the held one. The ring keeps at least kDefaultCapacity
+  ///   slots, so the renewer waits for the holder's release only after
+  ///   about 250 renewals (docs/correctness.md, "Ring capacity").
+  /// Single-threaded setup only (Runtime::add_handle, ipc attach) — the
+  /// ring is rebuilt.
+  void reserve_owners(std::size_t n, AccessMode mode);
 
   /// Grow the ring to at least `want` slots (rounded up to a power of
   /// two). Quiescent single-threaded use only: no concurrent queue op may
@@ -251,6 +268,7 @@ class FifoQueue : public RequestPort {
   std::unique_ptr<Slot[]> slots_;
   std::size_t mask_ = 0;  ///< capacity - 1 (capacity is a power of two)
   std::size_t owners_ = 0;  ///< registered request owners (reserve_owners)
+  std::size_t readers_ = 0;  ///< those of them that issue Read requests
 
   /// Next ticket to hand out. The only atomic inserters contend on.
   std::atomic<Ticket> tail_{0};

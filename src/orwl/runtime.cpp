@@ -17,11 +17,7 @@ namespace orwl {
 Handle& TaskContext::handle(HandleId h) { return runtime_.handle(h); }
 
 Runtime::Runtime(RuntimeOptions opts)
-    : opts_(opts),
-      arena_({.policy = opts.memory}),
-      stats_(0, metrics_),
-      wait_rounds_(metrics_.histogram_family("orwl.wait_rounds/h")),
-      acquire_ns_(metrics_.histogram_family("orwl.acquire_ns/h")) {
+    : opts_(opts), arena_({.policy = opts.memory}), stats_(0, metrics_) {
   if (opts_.control == RuntimeOptions::ControlMode::SharedPool) {
     ORWL_CHECK_MSG(opts_.shared_control_threads >= 1,
                    "shared control pool needs at least one thread");
@@ -105,19 +101,18 @@ HandleId Runtime::add_handle(TaskId task, LocationId location, AccessMode mode,
                  "unknown location " << location);
   const HandleId id = static_cast<HandleId>(handles_.size());
   LocationBuffer& loc = *locations_[static_cast<std::size_t>(location)];
-  // One more request owner on this location's ring, which grows to the
-  // power of two >= 2 * owners + 2: the ORWL in-flight bound (2 requests
-  // per owner) stays below capacity, so release_and_renew can never fill
-  // it (see FifoQueue::reserve_owners).
-  loc.queue().reserve_owners(1);
+  // One more request owner on this location's ring, which grows to hold
+  // what its owners can leave in it (FifoQueue::reserve_owners).
+  loc.queue().reserve_owners(1, mode);
   handles_.push_back(std::make_unique<Handle>(id, task, loc, mode,
                                               opts_.wait));
   stats_.add_handle(task, location, mode);
   // Per-handle observability: wait-length and acquire-latency histograms,
-  // member `id` of each family, so snapshots name them by handle
-  // ("orwl.wait_rounds/h<id>") and the dump/report can attribute
-  // contention.
-  handles_.back()->set_metrics(&wait_rounds_.append(), &acquire_ns_.append());
+  // named by handle so the dump/report can attribute contention.
+  const std::string suffix = "/h" + std::to_string(id);
+  handles_.back()->set_metrics(
+      &metrics_.histogram("orwl.wait_rounds" + suffix),
+      &metrics_.histogram("orwl.acquire_ns" + suffix));
   if (prime) prime_order_.push_back(id);
   return id;
 }

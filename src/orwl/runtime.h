@@ -343,9 +343,6 @@ class Runtime : private GrantSink {
   std::vector<std::optional<topo::Bitmap>> shared_bindings_;
   obs::Registry metrics_;  // declared before stats_: Instrument borrows it
   Instrument stats_;
-  /// Per-handle histograms, member i for handle i (owned by metrics_).
-  obs::HistogramFamily& wait_rounds_;
-  obs::HistogramFamily& acquire_ns_;
 
   GrantSink* remote_sink_ = nullptr;
   bool ran_ = false;

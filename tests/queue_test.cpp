@@ -250,7 +250,7 @@ TEST_F(QueueTest, ReserveOwnersGrowsPastInFlightBound) {
   EXPECT_EQ(queue_.capacity(), FifoQueue::kDefaultCapacity);
   // 1000 owners x 2 in-flight slots each must fit: the ring may never be
   // full when a renewal needs its slot before the release reclaims one.
-  queue_.reserve_owners(1000);
+  queue_.reserve_owners(1000, AccessMode::Read);
   EXPECT_GE(queue_.capacity(), 2u * 1000u + 2u);
   // Power-of-two capacity (ticket & mask indexing).
   EXPECT_EQ(queue_.capacity() & (queue_.capacity() - 1), 0u);

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <numeric>
@@ -589,33 +588,106 @@ TEST(Runtime, InlineIdleDeliveryMatchesQueuedDelivery) {
   }
 }
 
-// The smallest power of two >= 2 * owners + 2: the ring reserve_owners
-// keeps the ORWL in-flight bound (2 requests per owner) below.
-std::size_t ring_for(int owners) {
-  std::size_t cap = 1;
+// The ring reserve_owners keeps for `owners` owners, `readers` of them
+// Read owners: the smallest power of two >= 2 * owners + 2, at least the
+// first ring's FifoQueue::kMinCapacity, and at least
+// FifoQueue::kDefaultCapacity once two owners read.
+std::size_t ring_for(int owners, int readers) {
+  std::size_t cap = FifoQueue::kMinCapacity;
   while (cap < 2 * static_cast<std::size_t>(owners) + 2) cap <<= 1;
-  return cap;
+  return readers >= 2 ? std::max(cap, FifoQueue::kDefaultCapacity) : cap;
+}
+
+// One writer and `readers` readers of one location run `rounds` rounds,
+// each one write and a read of it per reader; returns the ring capacity.
+std::size_t run_laps(int readers, int rounds, sync::WaitStrategy wait) {
+  RuntimeOptions opts;
+  opts.wait = wait;
+  Runtime rt(opts);
+  const LocationId loc = rt.add_location(sizeof(long));
+  const auto step = [rounds](Handle& h, int round) {
+    if (round + 1 == rounds)
+      h.release();
+    else
+      h.release_and_renew();
+  };
+  const TaskId w = rt.add_task("w", [&step, rounds](TaskContext& ctx) {
+    Handle& h = ctx.handle(0);
+    for (int r = 0; r < rounds; ++r) {
+      as_span<long>(h.acquire())[0] = r + 1;
+      step(h, r);
+    }
+  });
+  std::atomic<int> mismatches{0};
+  for (int i = 1; i <= readers; ++i) {
+    const TaskId t = rt.add_task(
+        "r" + std::to_string(i),
+        [&step, &mismatches, i, rounds](TaskContext& ctx) {
+          Handle& h = ctx.handle(i);
+          for (int r = 0; r < rounds; ++r) {
+            if (as_span<const long>(h.acquire_const())[0] != r + 1)
+              ++mismatches;
+            step(h, r);
+          }
+        });
+    EXPECT_EQ(t, i);
+  }
+  rt.add_handle(w, loc, AccessMode::Write);
+  for (int i = 1; i <= readers; ++i) rt.add_handle(i, loc, AccessMode::Read);
+  const std::size_t capacity = rt.location_queue(loc).capacity();
+  EXPECT_EQ(capacity, ring_for(readers + 1, readers));
+  rt.run();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(rt.stats().write_grants(), static_cast<std::uint64_t>(rounds));
+  EXPECT_EQ(rt.stats().read_grants(),
+            static_cast<std::uint64_t>(readers) *
+                static_cast<std::uint64_t>(rounds));
+  return capacity;
 }
 
 TEST(Runtime, LocationRingsFitTheirOwners) {
-  for (int k = 1; k <= 9; ++k) {
+  // k handles on a location: with one reader among them the ring is what
+  // their in-flight bound needs, from the 8-slot first ring on; with
+  // k >= 2 readers it keeps the kDefaultCapacity margin, and grows past
+  // it at 128 owners.
+  for (const int k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128}) {
     Runtime rt;
-    const LocationId loc = rt.add_location(sizeof(long));
-    const LocationId other = rt.add_location(sizeof(long));
+    const LocationId one_reader = rt.add_location(sizeof(long));
+    const LocationId all_read = rt.add_location(sizeof(long));
     for (int i = 0; i < k; ++i) {
       const TaskId t = rt.add_task("t" + std::to_string(i), [](TaskContext&) {});
-      rt.add_handle(t, loc, i == 0 ? AccessMode::Write : AccessMode::Read);
+      rt.add_handle(t, one_reader, i == 0 ? AccessMode::Read : AccessMode::Write);
+      rt.add_handle(t, all_read, AccessMode::Read);
     }
-    rt.add_handle(0, other, AccessMode::Read);
-    EXPECT_EQ(rt.location_queue(loc).capacity(), ring_for(k)) << k;
-    EXPECT_EQ(rt.location_queue(other).capacity(), ring_for(1)) << k;
+    EXPECT_EQ(rt.location_queue(one_reader).capacity(), ring_for(k, 1)) << k;
+    EXPECT_EQ(rt.location_queue(all_read).capacity(), ring_for(k, k)) << k;
   }
+  EXPECT_EQ(ring_for(1, 1), 8u);
+  EXPECT_EQ(ring_for(4, 1), 16u);
+  EXPECT_EQ(ring_for(128, 1), 512u);
 
-  // One writer and 8 readers on one location run well over 10 laps of its
-  // 32-slot ring, each round one write and 8 reads of what it wrote.
-  constexpr int kReaders = 8;
-  constexpr int kRounds = 40;
-  static_assert((kReaders + 1) * kRounds >= 10 * 32);
+  // Each ring runs at least 10 laps under every wait strategy: the 8-slot
+  // ring of one writer and one reader, and the 256-slot ring of one writer
+  // and 8 readers, with exact grant counts and values.
+  for (const sync::WaitStrategy wait :
+       {sync::WaitStrategy::block(), sync::WaitStrategy::spin_then_park(),
+        sync::WaitStrategy::spin()}) {
+    SCOPED_TRACE(sync::to_string(wait));
+    EXPECT_EQ(run_laps(1, 40, wait), 8u);
+    static_assert((1 + 1) * 40 >= 10 * 8);
+    EXPECT_EQ(run_laps(8, 290, wait), FifoQueue::kDefaultCapacity);
+    static_assert((8 + 1) * 290 >= 10 * FifoQueue::kDefaultCapacity);
+  }
+}
+
+TEST(Runtime, ReaderRenewsPastAHeldReadOfTheSameLocation) {
+  // Two readers of `shared`. The holder acquires it and, still holding
+  // it, waits for the renewer's write to `signal`; the renewer reads
+  // `shared` kRenewals times before writing. Each renewal is granted
+  // beside the held read and leaves a released slot behind it, so the
+  // ring must hold them all: the 8 slots two owners need would wedge the
+  // renewer at its 8th renewal, waiting on a holder that waits on it.
+  constexpr int kRenewals = 200;
   for (const sync::WaitStrategy wait :
        {sync::WaitStrategy::block(), sync::WaitStrategy::spin_then_park(),
         sync::WaitStrategy::spin()}) {
@@ -623,41 +695,40 @@ TEST(Runtime, LocationRingsFitTheirOwners) {
     RuntimeOptions opts;
     opts.wait = wait;
     Runtime rt(opts);
-    const LocationId loc = rt.add_location(sizeof(long));
-    const auto step = [](Handle& h, int round) {
-      if (round + 1 == kRounds)
-        h.release();
-      else
-        h.release_and_renew();
-    };
-    const TaskId w = rt.add_task("w", [&step](TaskContext& ctx) {
-      Handle& h = ctx.handle(0);
-      for (int r = 0; r < kRounds; ++r) {
-        as_span<long>(h.acquire())[0] = r + 1;
-        step(h, r);
+    const LocationId shared = rt.add_location(sizeof(long));
+    const LocationId signal = rt.add_location(sizeof(long));
+    const TaskId renewer = rt.add_task("renewer", [](TaskContext& ctx) {
+      Handle& s = ctx.handle(0);
+      for (int r = 0; r < kRenewals; ++r) {
+        (void)s.acquire_const();
+        s.release_and_renew();
       }
+      (void)s.acquire_const();
+      s.release();
+      Handle& w = ctx.handle(1);
+      as_span<long>(w.acquire())[0] = kRenewals;
+      w.release();
     });
-    std::atomic<int> mismatches{0};
-    for (int i = 1; i <= kReaders; ++i) {
-      const TaskId t = rt.add_task(
-          "r" + std::to_string(i), [&step, &mismatches, i](TaskContext& ctx) {
-            Handle& h = ctx.handle(i);
-            for (int r = 0; r < kRounds; ++r) {
-              if (as_span<const long>(h.acquire_const())[0] != r + 1)
-                ++mismatches;
-              step(h, r);
-            }
-          });
-      ASSERT_EQ(t, i);
-    }
-    rt.add_handle(w, loc, AccessMode::Write);
-    for (int i = 1; i <= kReaders; ++i) rt.add_handle(i, loc, AccessMode::Read);
-    ASSERT_EQ(rt.location_queue(loc).capacity(), ring_for(kReaders + 1));
+    std::atomic<long> seen{0};
+    const TaskId holder = rt.add_task("holder", [&seen](TaskContext& ctx) {
+      Handle& s = ctx.handle(2);
+      (void)s.acquire_const();
+      Handle& r = ctx.handle(3);
+      seen = as_span<const long>(r.acquire_const())[0];
+      r.release();
+      s.release();
+    });
+    rt.add_handle(renewer, shared, AccessMode::Read);
+    rt.add_handle(renewer, signal, AccessMode::Write);
+    rt.add_handle(holder, shared, AccessMode::Read);
+    rt.add_handle(holder, signal, AccessMode::Read);
+    ASSERT_GE(rt.location_queue(shared).capacity(),
+              static_cast<std::size_t>(kRenewals) + 2);
     rt.run();
-    EXPECT_EQ(mismatches.load(), 0);
-    EXPECT_EQ(rt.stats().write_grants(), static_cast<std::uint64_t>(kRounds));
+    EXPECT_EQ(seen.load(), kRenewals);
     EXPECT_EQ(rt.stats().read_grants(),
-              static_cast<std::uint64_t>(kReaders * kRounds));
+              static_cast<std::uint64_t>(kRenewals) + 3);
+    EXPECT_EQ(rt.stats().write_grants(), 1u);
   }
 }
 
@@ -704,36 +775,27 @@ TEST(Runtime, PerHandleHistogramsKeepTheirNames) {
 }
 
 TEST(Runtime, SetUpGrowsLinearly) {
-  // Building a runtime (locations, tasks, two handles per task: a token
-  // ring) costs time linear in the program. Eight times the tasks must
-  // cost well under 24 times the time; a per-task rescan of every earlier
-  // task or handle makes it hundreds.
-  const auto build_seconds = [](int tasks) {
-    std::vector<double> samples;
-    for (int rep = 0; rep < 5; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      {
-        Runtime rt;
-        for (int i = 0; i < tasks; ++i) rt.add_location(sizeof(long));
-        for (int i = 0; i < tasks; ++i) {
-          rt.add_task("t" + std::to_string(i), [](TaskContext&) {});
-          rt.add_handle(i, i, AccessMode::Read);
-          rt.add_handle(i, (i + 1) % tasks, AccessMode::Write);
-        }
-        samples.push_back(std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count());
-      }
+  // Building a runtime lays out state linear in the program. A token ring
+  // of n tasks (each reads its location and writes the next) gets an 8-slot
+  // ring per location (two owners, one reader), an Instrument layout of at
+  // most 3 count cells per location (a 1 x 2 table and the 1 x 1 table it
+  // outgrew), and two histograms per handle, for n = 32 and n = 256 alike.
+  // Dense task x task flow matrices, one per shard, would be 8 n^2 cells.
+  for (const int tasks : {32, 256}) {
+    SCOPED_TRACE(tasks);
+    Runtime rt;
+    for (int i = 0; i < tasks; ++i) rt.add_location(sizeof(long));
+    for (int i = 0; i < tasks; ++i) {
+      rt.add_task("t" + std::to_string(i), [](TaskContext&) {});
+      rt.add_handle(i, i, AccessMode::Read);
+      rt.add_handle(i, (i + 1) % tasks, AccessMode::Write);
     }
-    std::sort(samples.begin(), samples.end());
-    return samples[samples.size() / 2];
-  };
-  build_seconds(32);  // warm the allocator
-  const double small = build_seconds(32);
-  const double large = build_seconds(256);
-  EXPECT_LT(large / small, 24.0)
-      << "32 tasks: " << small * 1e3 << " ms, 256 tasks: " << large * 1e3
-      << " ms";
+    for (LocationId l = 0; l < tasks; ++l)
+      EXPECT_EQ(rt.location_queue(l).capacity(), 8u) << l;
+    EXPECT_LE(rt.stats().cells(), 3u * static_cast<std::size_t>(tasks));
+    EXPECT_EQ(rt.metrics().snapshot().histograms.size(),
+              4u * static_cast<std::size_t>(tasks));
+  }
 }
 
 }  // namespace
