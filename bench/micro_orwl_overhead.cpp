@@ -1,13 +1,13 @@
 // Table D (micro): ORWL runtime overhead, measured natively — FIFO queue
-// operations, grant cycles in both control modes and across wait
-// strategies, contended queues, and shared-read grants. Timing, repetition
+// operations, grant cycles across wait strategies, contended queues, and
+// shared-read grants. Timing, repetition
 // and JSON emission go through the shared harness (median/MAD over R
 // repetitions after warmup) instead of google-benchmark, so the bench
 // builds everywhere and its output matches the BENCH_*.json layout of the
 // other drivers.
 //
-// The wait-strategy sweep records block vs spin_then_park for both direct
-// and control-thread grant delivery — the cases the lock-cheap core
+// The wait-strategy sweep records block vs spin_then_park for grants
+// delivered in the announcing thread — the cases the lock-cheap core
 // refactor is judged by (an uncontended grant is one atomic load; a
 // contended one parks on the request state itself).
 //
@@ -132,11 +132,9 @@ Micro park_wake_handoff(sync::WaitStrategy ws) {
 }
 
 /// N writer tasks round-robin on one location for `rounds` grants each.
-double run_writers(RuntimeOptions::ControlMode mode, sync::WaitStrategy wait,
-                   int writers, int rounds,
+double run_writers(sync::WaitStrategy wait, int writers, int rounds,
                    obs::HistogramSnapshot* wait_out = nullptr) {
   RuntimeOptions opts;
-  opts.control = mode;
   opts.record_flows = false;
   opts.wait = wait;
   Runtime rt(opts);
@@ -162,22 +160,17 @@ double run_writers(RuntimeOptions::ControlMode mode, sync::WaitStrategy wait,
 }
 
 // End-to-end grant latency: two tasks alternate on one location; a full
-// request->control->deliver->acquire->release cycle per item. The
-// wait-strategy sweep emits one case per (delivery mode, strategy); the
-// block cases keep their historical unsuffixed names so they stay
-// comparable across recordings.
-Micro runtime_alternation(bool per_task_control, sync::WaitStrategy wait,
-                          bool suffix_strategy) {
+// request->grant->acquire->release cycle per item. The wait-strategy sweep
+// emits one case per strategy; the block case keeps its historical
+// unsuffixed name so it stays comparable across recordings.
+Micro runtime_alternation(sync::WaitStrategy wait, bool suffix_strategy) {
   const int rounds = 2000;
-  const auto mode = per_task_control ? RuntimeOptions::ControlMode::PerTask
-                                     : RuntimeOptions::ControlMode::Direct;
-  std::string name = std::string("runtime_alternation/") +
-                     (per_task_control ? "control-threads" : "direct");
+  std::string name = "runtime_alternation/direct";
   if (suffix_strategy) name += "/" + sync::to_string(wait);
   auto hist = std::make_shared<obs::HistogramSnapshot>();
   return {std::move(name), sync::to_string(wait), 2.0 * rounds,
-          [mode, wait, rounds, hist] {
-            return run_writers(mode, wait, 2, rounds, hist.get());
+          [wait, rounds, hist] {
+            return run_writers(wait, 2, rounds, hist.get());
           },
           hist};
 }
@@ -188,8 +181,7 @@ Micro runtime_contention(int writers) {
   return {"runtime_contention/" + std::to_string(writers),
           sync::to_string(sync::WaitStrategy::block()),
           static_cast<double>(writers) * rounds, [writers, rounds, hist] {
-            return run_writers(RuntimeOptions::ControlMode::Direct,
-                               sync::WaitStrategy::block(), writers, rounds,
+            return run_writers(sync::WaitStrategy::block(), writers, rounds,
                                hist.get());
           },
           hist};
@@ -208,7 +200,6 @@ Micro runtime_shared_reads(int readers, bool batch = true) {
           static_cast<double>(readers + 1) * rounds,
           [readers, rounds, batch, hist] {
             RuntimeOptions opts;
-            opts.control = RuntimeOptions::ControlMode::Direct;
             opts.record_flows = false;
             opts.batch_grants = batch;
             // Pinned, not the runtime default: the recorded label (and
@@ -274,12 +265,10 @@ int main(int argc, char** argv) {
 
   std::vector<Micro> micros;
   micros.push_back(queue_renew_cycle());
-  // Wait-strategy sweep: block (historical unsuffixed names) vs
-  // spin_then_park, for both grant-delivery modes.
-  micros.push_back(runtime_alternation(false, kBlock, false));
-  micros.push_back(runtime_alternation(true, kBlock, false));
-  micros.push_back(runtime_alternation(false, kSpinThenPark, true));
-  micros.push_back(runtime_alternation(true, kSpinThenPark, true));
+  // Wait-strategy sweep: block (historical unsuffixed name) vs
+  // spin_then_park.
+  micros.push_back(runtime_alternation(kBlock, false));
+  micros.push_back(runtime_alternation(kSpinThenPark, true));
   for (int n : {2, 4, 8}) micros.push_back(runtime_contention(n));
   for (int n : {2, 4, 8}) micros.push_back(runtime_shared_reads(n));
   // A/B: the same reader sweep with per-grant announcements, so every

@@ -1,8 +1,10 @@
 // Table C (ablation): the control-thread extension of Algorithm 1.
 // Algorithm 1 picks, in order: hyperthread siblings -> spare cores ->
 // unmanaged. This table quantifies each strategy on a lock-heavy workload
-// (grant delivery goes through the control thread, so its distance from
-// the compute thread and the unmanaged OS-scheduling penalty dominate).
+// in the simulator's model of the paper's runtime (grant delivery goes
+// through the control thread, so its distance from the compute thread and
+// the unmanaged OS-scheduling penalty dominate). The ORWL runtime in this
+// repository has no control thread; the sim keeps modelling it.
 
 #include <iostream>
 

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "obs/trace.h"
+#include "orwl/handle.h"
 #include "support/assert.h"
 #include "support/log.h"
 #include "support/thread.h"
@@ -405,7 +406,7 @@ void PeerEndpoint::pump() {
     // writes (carried here by the ring's release/acquire pair) to the
     // handle's acquire load; pairs with Handle::acquire / test.
     req->state.store(RequestState::Granted, std::memory_order_release);
-    rt_.route_grant(*req);
+    Handle::deliver_grant(*req);
   }
 }
 

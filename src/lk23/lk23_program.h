@@ -15,7 +15,7 @@
 //
 // Running the definition on RuntimeBackend produces exactly the field of
 // the blocked sequential reference (lk23::blocked_reference) under every
-// placement policy and control mode; running it on SimBackend predicts the
+// placement policy; running it on SimBackend predicts the
 // ORWL NoBind and Bind columns of the paper's Figure 1.
 
 #include <vector>

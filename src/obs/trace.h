@@ -38,7 +38,8 @@ enum class EventKind : std::uint8_t {
   AcquireEnd,     ///< grant observed, buffer returned    (arg = handle id)
   Grant,          ///< FIFO announced a grant             (arg = handle id)
   Release,        ///< lock given up (or renewed)         (arg = handle id)
-  EventPop,       ///< control thread drained a batch     (arg = batch size)
+  // Kept only because perfbench/ reads it; removed with ROADMAP item 1(b).
+  EventPop,       ///< EventQueue::pop_all drained a batch (arg = batch size)
   EpochBegin,     ///< epoch boundary formed, hook starts (arg = epoch)
   EpochEnd,       ///< boundary released                  (arg = epoch)
   ReplaceBegin,   ///< re-placement evaluation starts     (arg = epoch)
@@ -111,7 +112,7 @@ inline void trace(EventKind kind, std::uint64_t arg = 0) noexcept {
 /// Events of one thread, in timestamp order.
 struct TraceThread {
   std::int32_t tid = 0;
-  std::string name;  ///< pthread name at first event ("w0", "ctl:w0", ...)
+  std::string name;  ///< pthread name at first event ("w0", "w1", ...)
   std::vector<TraceEvent> events;
 };
 

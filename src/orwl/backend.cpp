@@ -136,9 +136,8 @@ RunReport RuntimeBackend::run(const Program& program) {
 
   // Online re-placement: at every epoch boundary the hook reads the
   // Instrument's fresh flow window, asks the Replacer, and — when drift
-  // warrants it — rebinds the live compute threads (and opt-in PerTask
-  // control threads) while they are parked at the barrier. The run never
-  // stops.
+  // warrants it — rebinds the live compute threads while they are parked
+  // at the barrier. The run never stops.
   const place::ReplacementPolicy& rp = program.replacement_policy();
   std::optional<place::Replacer> replacer;
   place::Plan current = rep.plan;
@@ -177,15 +176,6 @@ RunReport RuntimeBackend::run(const Program& program) {
                   !rt_->rebind_compute_thread(
                       t, pus[static_cast<std::size_t>(cpu)]->cpuset))
                 ++rec.rebind_failures;
-              // Control thread follows its compute thread unless the plan
-              // manages it separately (mirrors place::apply_plan).
-              // Best-effort: only PerTask control threads are rebindable.
-              const int ctl = dec.plan.control_pu[ti] >= 0
-                                  ? dec.plan.control_pu[ti]
-                                  : cpu;
-              if (ctl >= 0)
-                rt_->rebind_control_thread(
-                    t, pus[static_cast<std::size_t>(ctl)]->cpuset);
             }
             if (rec.rebind_failures > 0) {
               ORWL_LOG(Warn)
@@ -436,8 +426,8 @@ RunReport SimBackend::run(const Program& program) {
   if (mempol == mem::MemoryPolicy::NumaInterleave)
     placement.data_interleaved.assign(static_cast<std::size_t>(n), 1);
 
-  // Bound tasks: an unmanaged control thread rides on the compute PU
-  // (mirrors place::apply_plan) and the owner first-touches its own data.
+  // Bound tasks: an unmanaged control thread of the paper's runtime rides
+  // on the compute PU and the owner first-touches its own data.
   // Unbound tasks: the control path stays unmanaged and first touch lands
   // wherever the OS started the thread (seeded lottery).
   placement.data_home_pu.resize(static_cast<std::size_t>(n));

@@ -10,28 +10,9 @@ void EventQueue::post(Event ev) {
   {
     sync::LockGuard lock(mu_);
     events_.push_back(ev);
-    // order: relaxed — backlog mirror for idle(); mu_ orders the writers.
-    backlog_.store(static_cast<std::uint32_t>(events_.size()),
-                   std::memory_order_relaxed);
   }
   // lint: allow-rmw(futex sequence bump; the wait side lives in sync/)
   // order: release — the bump publishes the backlog entry; the consumer's
-  // acquire load in the waiter pairs with it before re-checking.
-  seq_.fetch_add(1, std::memory_order_release);
-  sync::notify_one(seq_);
-}
-
-void EventQueue::post_batch(std::span<const Event> evs) {
-  if (evs.empty()) return;
-  {
-    sync::LockGuard lock(mu_);
-    events_.insert(events_.end(), evs.begin(), evs.end());
-    // order: relaxed — backlog mirror for idle(); mu_ orders the writers.
-    backlog_.store(static_cast<std::uint32_t>(events_.size()),
-                   std::memory_order_relaxed);
-  }
-  // lint: allow-rmw(futex sequence bump; the wait side lives in sync/)
-  // order: release — one bump publishes the whole batch; the consumer's
   // acquire load in the waiter pairs with it before re-checking.
   seq_.fetch_add(1, std::memory_order_release);
   sync::notify_one(seq_);
@@ -50,9 +31,6 @@ std::optional<Event> EventQueue::pop() {
       if (!events_.empty()) {
         Event ev = events_.front();
         events_.pop_front();
-        // order: relaxed — backlog mirror for idle(); mu_ orders writers.
-        backlog_.store(static_cast<std::uint32_t>(events_.size()),
-                       std::memory_order_relaxed);
         return ev;
       }
       if (stopped_) return std::nullopt;
@@ -73,8 +51,6 @@ bool EventQueue::pop_all(std::vector<Event>& out) {
         obs::trace(obs::EventKind::EventPop, events_.size());
         out.insert(out.end(), events_.begin(), events_.end());
         events_.clear();
-        // order: relaxed — backlog mirror for idle(); mu_ orders writers.
-        backlog_.store(0, std::memory_order_relaxed);
         return true;
       }
       if (stopped_) return false;

@@ -57,9 +57,8 @@ class Handle {
   /// conversion.
   std::span<const std::byte> acquire_const();
 
-  /// Non-blocking poll: true when the grant has been made (it may still be
-  /// in flight through a control thread's event queue — the waiter does
-  /// not need the notify once the state reads Granted).
+  /// Non-blocking poll: true when the grant has been made (the waiter does
+  /// not need the announcer's notify once the state reads Granted).
   [[nodiscard]] bool test() const;
 
   /// Release without renewing (last iteration / manual protocols).
@@ -71,8 +70,9 @@ class Handle {
   /// True while the task holds the lock (between acquire and release).
   [[nodiscard]] bool acquired() const { return acquired_; }
 
-  /// Grant delivery — called by the runtime (directly or from a control
-  /// thread): wakes the waiter parked on the request's state. The Granted
+  /// Grant delivery — called in the thread that announces the grant (the
+  /// runtime's grant sink, or the ipc peer pump): wakes the waiter parked
+  /// on the request's state. The Granted
   /// store has already been published by the queue; delivery only
   /// notifies. Not for user code.
   static void deliver_grant(Request& req) { sync::notify_all(req.state); }

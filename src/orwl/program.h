@@ -387,8 +387,8 @@ class Program {
     place_matrix_ = std::move(measured);
   }
 
-  /// Wait-strategy knob: how this program's compute threads, control
-  /// threads and epoch barrier wait — block, spin, or spin-then-park
+  /// Wait-strategy knob: how this program's compute threads and epoch
+  /// barrier wait — block, spin, or spin-then-park
   /// (sync/wait_strategy.h). On RuntimeBackend, unset leaves the backend's
   /// RuntimeOptions default in force (spin_then_park(256) unless the
   /// backend was built with another). SimBackend charges an explicit

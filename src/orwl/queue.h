@@ -7,9 +7,8 @@
 // alone (exclusive). Releasing a granted request removes it and advances
 // the grant frontier.
 //
-// Grants are *announced* through the non-allocating GrantSink interface so
-// the runtime can route them through control threads (the decentralized
-// event-based design the paper describes) or deliver them directly.
+// Grants are *announced* through the non-allocating GrantSink interface;
+// the runtime delivers each one in the announcing thread.
 //
 // LOCK-FREE DESIGN (docs/correctness.md "The lock-free grant path" has the
 // full ordering contract). The queue is a ticket ring, not a mutex-guarded

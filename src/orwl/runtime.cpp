@@ -18,14 +18,10 @@ Handle& TaskContext::handle(HandleId h) { return runtime_.handle(h); }
 
 Runtime::Runtime(RuntimeOptions opts)
     : opts_(opts), arena_({.policy = opts.memory}), stats_(0, metrics_) {
-  if (opts_.control == RuntimeOptions::ControlMode::SharedPool) {
-    ORWL_CHECK_MSG(opts_.shared_control_threads >= 1,
-                   "shared control pool needs at least one thread");
-    for (int i = 0; i < opts_.shared_control_threads; ++i)
-      shared_queues_.push_back(std::make_unique<EventQueue>(opts_.wait));
-    shared_bindings_.resize(
-        static_cast<std::size_t>(opts_.shared_control_threads));
-  }
+  ORWL_CHECK_MSG(opts_.control == RuntimeOptions::ControlMode::Direct,
+                 "PerTask and SharedPool control were removed: the runtime "
+                 "starts no control thread and delivers every grant in the "
+                 "announcing thread (ControlMode::Direct)");
 }
 
 Runtime::~Runtime() = default;
@@ -86,8 +82,6 @@ TaskId Runtime::add_task(std::string name, TaskFn fn) {
   TaskRec rec;
   rec.name = std::move(name);
   rec.fn = std::move(fn);
-  if (opts_.control == RuntimeOptions::ControlMode::PerTask)
-    rec.events = std::make_unique<EventQueue>(opts_.wait);
   tasks_.push_back(std::move(rec));
   stats_.resize(static_cast<int>(tasks_.size()));
   return id;
@@ -120,20 +114,6 @@ HandleId Runtime::add_handle(TaskId task, LocationId location, AccessMode mode,
 void Runtime::set_compute_binding(TaskId task, topo::Bitmap cpuset) {
   ORWL_CHECK_MSG(task >= 0 && task < num_tasks(), "unknown task " << task);
   tasks_[static_cast<std::size_t>(task)].compute_bind = std::move(cpuset);
-}
-
-void Runtime::set_control_binding(TaskId task, topo::Bitmap cpuset) {
-  ORWL_CHECK_MSG(task >= 0 && task < num_tasks(), "unknown task " << task);
-  tasks_[static_cast<std::size_t>(task)].control_bind = std::move(cpuset);
-}
-
-void Runtime::set_shared_control_binding(int pool_index, topo::Bitmap cpuset) {
-  ORWL_CHECK_MSG(opts_.control == RuntimeOptions::ControlMode::SharedPool,
-                 "shared control bindings need ControlMode::SharedPool");
-  ORWL_CHECK_MSG(pool_index >= 0 &&
-                     pool_index < static_cast<int>(shared_bindings_.size()),
-                 "pool index " << pool_index << " out of range");
-  shared_bindings_[static_cast<std::size_t>(pool_index)] = std::move(cpuset);
 }
 
 void Runtime::set_epoch_hook(int epoch_length, EpochHook hook) {
@@ -211,14 +191,6 @@ bool Runtime::rebind_compute_thread(TaskId task, const topo::Bitmap& cpuset) {
   ORWL_CHECK_MSG(task >= 0 && task < num_tasks(), "unknown task " << task);
   sync::LockGuard lock(esync_mu_);
   const auto& h = compute_handles_[static_cast<std::size_t>(task)];
-  return h && topo::bind_thread(*h, cpuset);
-}
-
-bool Runtime::rebind_control_thread(TaskId task, const topo::Bitmap& cpuset) {
-  ORWL_CHECK_MSG(task >= 0 && task < num_tasks(), "unknown task " << task);
-  if (opts_.control != RuntimeOptions::ControlMode::PerTask) return false;
-  sync::LockGuard lock(esync_mu_);
-  const auto& h = control_handles_[static_cast<std::size_t>(task)];
   return h && topo::bind_thread(*h, cpuset);
 }
 
@@ -326,167 +298,14 @@ void Runtime::on_grant(Request& req) {
   // not this Instrument's.)
   if (opts_.record_flows) stats_.record_flow(loc.last_writer(), req.handle);
   if (req.mode == AccessMode::Write) loc.set_last_writer(req.handle);
-  route_grant(req);
-}
-
-void Runtime::route_grant(Request& req) {
-  // Inline idle delivery (RuntimeOptions::inline_idle_delivery): an empty
-  // control backlog means there is nothing to batch, so the hop through
-  // the control thread would only add wake latency — deliver here. The
-  // idle() probe is advisory; a stale answer is safe either way because
-  // delivery is a notify (idempotent, the waiter re-checks state). Only
-  // the post below fills a backlog, so with the option on the queue stays
-  // empty and every grant takes the inline branch; the post runs only
-  // with the option off.
-  switch (opts_.control) {
-    case RuntimeOptions::ControlMode::Direct:
-      Handle::deliver_grant(req);
-      break;
-    case RuntimeOptions::ControlMode::PerTask: {
-      EventQueue& q = *tasks_[static_cast<std::size_t>(req.owner)].events;
-      if (opts_.inline_idle_delivery && q.idle())
-        Handle::deliver_grant(req);
-      else
-        q.post({&req});
-      break;
-    }
-    case RuntimeOptions::ControlMode::SharedPool: {
-      EventQueue& q = *shared_queues_[static_cast<std::size_t>(req.owner) %
-                                      shared_queues_.size()];
-      if (opts_.inline_idle_delivery && q.idle())
-        Handle::deliver_grant(req);
-      else
-        q.post({&req});
-      break;
-    }
-  }
+  Handle::deliver_grant(req);
 }
 
 void Runtime::on_grant_batch(std::span<Request* const> reqs) {
-  // A whole shared-read run in one announcement. The per-request
-  // bookkeeping below is exactly on_grant's; the batch buys one virtual
-  // dispatch for the run plus the grouped routing at the end (one event
-  // post and one wake per destination queue instead of one per reader).
+  // A whole shared-read run in one announcement: one virtual dispatch for
+  // the run, then exactly on_grant's bookkeeping and delivery per request.
   obs::trace(obs::EventKind::GrantBatch, reqs.size());
-  // Scratch is thread-local, not a member: combiners of DIFFERENT
-  // locations may announce concurrently, and one thread never nests
-  // announcements (sinks must not re-enter queues). Steady-state the
-  // vector is warm — no allocation on the grant path.
-  thread_local std::vector<Request*> local;
-  local.clear();
-  for (Request* req : reqs) {
-    obs::trace(obs::EventKind::Grant, static_cast<std::uint64_t>(req->handle));
-    stats_.record_grant(req->mode);
-    LocationBuffer& loc =
-        *locations_[static_cast<std::size_t>(req->location)];
-    if (req->owner == kRemoteOwner) {
-      // Proxied peer request (see on_grant): not a local task, so it must
-      // not reach the task table or flow shards — the transport publishes
-      // it into the shm ring. Batches are read runs, but keep the
-      // last-writer discipline symmetric with on_grant anyway.
-      if (req->mode == AccessMode::Write) loc.set_last_writer(-1);
-      ORWL_ASSERT_MSG(remote_sink_ != nullptr,
-                      "remote-owned grant with no remote sink installed");
-      remote_sink_->on_grant(*req);
-      continue;
-    }
-    if (opts_.record_flows)
-      stats_.record_flow(loc.last_writer(), req->handle);
-    if (req->mode == AccessMode::Write) loc.set_last_writer(req->handle);
-    local.push_back(req);
-  }
-  route_grant_batch({local.data(), local.size()});
-}
-
-void Runtime::route_grant_batch(std::span<Request* const> reqs) {
-  if (reqs.empty()) return;
-  if (opts_.control == RuntimeOptions::ControlMode::Direct) {
-    for (Request* r : reqs) Handle::deliver_grant(*r);
-    return;
-  }
-  const auto queue_of = [this](const Request* r) -> EventQueue& {
-    if (opts_.control == RuntimeOptions::ControlMode::PerTask)
-      return *tasks_[static_cast<std::size_t>(r->owner)].events;
-    return *shared_queues_[static_cast<std::size_t>(r->owner) %
-                           shared_queues_.size()];
-  };
-  // Group by destination queue with the same tiny-quadratic scan as
-  // deliver_batch (runs are bounded by the location's reader count). Each
-  // group goes through ONE post_batch — one lock round-trip and one wake
-  // for the whole run — unless the queue is idle, in which case the
-  // announcer delivers inline: every waiter needs its own notify no matter
-  // who issues it, so the control-thread hop would only add latency (the
-  // same reasoning as route_grant's single-grant short-cut, and likewise
-  // always taken while inline_idle_delivery is on).
-  thread_local std::vector<Event> events;
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    EventQueue& q = queue_of(reqs[i]);
-    bool grouped = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (&queue_of(reqs[j]) == &q) {
-        grouped = true;
-        break;
-      }
-    }
-    if (grouped) continue;
-    events.clear();
-    for (std::size_t j = i; j < reqs.size(); ++j)
-      if (&queue_of(reqs[j]) == &q) events.push_back({reqs[j]});
-    if (opts_.inline_idle_delivery && q.idle()) {
-      for (const Event& ev : events) Handle::deliver_grant(*ev.request);
-    } else {
-      q.post_batch({events.data(), events.size()});
-    }
-  }
-}
-
-void Runtime::deliver_batch(const std::vector<Event>& batch) {
-  // Coalesce per handle: a request whose renewal was granted while its
-  // earlier announcement still sat in the backlog appears twice — one
-  // notify covers both (the waiter re-checks the state, never the count).
-  // Batches are bounded by the serviced tasks' handle counts, so the
-  // quadratic scan stays tiny.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Request* req = batch[i].request;
-    bool coalesced = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (batch[j].request == req) {
-        coalesced = true;
-        break;
-      }
-    }
-    if (!coalesced) Handle::deliver_grant(*req);
-  }
-}
-
-void Runtime::shared_control_loop(int pool_index) {
-  set_current_thread_name("ctlpool:" + std::to_string(pool_index));
-  const auto& bind = shared_bindings_[static_cast<std::size_t>(pool_index)];
-  if (bind) topo::bind_current_thread(*bind);
-  EventQueue& queue = *shared_queues_[static_cast<std::size_t>(pool_index)];
-  // Batched delivery: drain the whole backlog per wake instead of paying
-  // one lock round-trip (and possibly one park) per event under bursts.
-  std::vector<Event> batch;
-  while (queue.pop_all(batch)) {
-    deliver_batch(batch);
-    batch.clear();
-  }
-}
-
-void Runtime::control_loop(TaskId task) {
-  TaskRec& rec = tasks_[static_cast<std::size_t>(task)];
-  set_current_thread_name("ctl:" + rec.name);
-  {
-    sync::LockGuard lock(esync_mu_);
-    control_handles_[static_cast<std::size_t>(task)] =
-        topo::current_thread_handle();
-  }
-  if (rec.control_bind) topo::bind_current_thread(*rec.control_bind);
-  std::vector<Event> batch;
-  while (rec.events->pop_all(batch)) {
-    deliver_batch(batch);
-    batch.clear();
-  }
+  for (Request* req : reqs) Runtime::on_grant(*req);
 }
 
 void Runtime::run() {
@@ -506,7 +325,6 @@ void Runtime::run() {
     esync_generation_.store(0, std::memory_order_relaxed);
     esync_retired_.assign(tasks_.size(), 0);
     compute_handles_.assign(tasks_.size(), std::nullopt);
-    control_handles_.assign(tasks_.size(), std::nullopt);
   }
 
   // Canonical priming: initial requests in registration order. This global
@@ -535,18 +353,6 @@ void Runtime::run() {
   }
   for (std::size_t li = 0; li < locations_.size(); ++li)
     if (!deferred[li]) locations_[li]->storage().zero_if_pending();
-
-  // Control threads first so primed grants get delivered.
-  std::vector<std::thread> control;
-  if (opts_.control == RuntimeOptions::ControlMode::PerTask) {
-    control.reserve(tasks_.size());
-    for (TaskId t = 0; t < num_tasks(); ++t)
-      control.emplace_back([this, t] { control_loop(t); });
-  } else if (opts_.control == RuntimeOptions::ControlMode::SharedPool) {
-    control.reserve(shared_queues_.size());
-    for (int i = 0; i < static_cast<int>(shared_queues_.size()); ++i)
-      control.emplace_back([this, i] { shared_control_loop(i); });
-  }
 
   sync::Mutex err_mu;
   std::exception_ptr first_error;
@@ -588,10 +394,6 @@ void Runtime::run() {
   }
 
   for (auto& th : compute) th.join();
-  for (auto& rec : tasks_)
-    if (rec.events) rec.events->stop();
-  for (auto& q : shared_queues_) q->stop();
-  for (auto& th : control) th.join();
 
   if (first_error) std::rethrow_exception(first_error);
 }

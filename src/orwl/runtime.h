@@ -1,7 +1,9 @@
 #pragma once
-// Runtime: owns locations, tasks, handles and the opt-in control threads;
-// runs the whole ORWL program. This is the decentralized event-based
-// runtime of the paper plus the binding hooks the placement module drives.
+// Runtime: owns locations, tasks and handles; runs the whole ORWL program
+// with one thread per task. Every lock grant is delivered in the thread
+// that announces it, so the per-task control threads of the paper's
+// runtime have no counterpart here (docs/placement.md, "Line 1"). The
+// binding hooks are the ones the placement module drives.
 //
 // NOTE FOR NEWCOMERS: this is the low-level, byte-span layer. Applications
 // should normally be written against the typed orwl::Program front-end
@@ -36,7 +38,6 @@
 #include "mem/policy.h"
 #include "mem/segment.h"
 #include "obs/metrics.h"
-#include "orwl/events.h"
 #include "orwl/handle.h"
 #include "orwl/instrument.h"
 #include "orwl/location.h"
@@ -57,53 +58,37 @@ class Topology;
 namespace orwl {
 
 struct RuntimeOptions {
-  /// How lock grants reach the waiting compute thread. The default,
-  /// Direct, starts no control thread: a run spawns one thread per task.
-  /// PerTask and SharedPool are opt-in; with inline_idle_delivery on (its
-  /// default) their control threads never receive a grant.
+  /// How lock grants reach the waiting compute thread. Only Direct runs:
+  /// the announcing thread delivers every grant, and a run starts one
+  /// thread per task. The Runtime constructor rejects PerTask and
+  /// SharedPool, whose control threads are gone.
+  // Kept only because perfbench/ reads it; removed with ROADMAP item 1(b).
   enum class ControlMode {
-    Direct,      ///< granted in the releaser's context (no control threads)
-    PerTask,     ///< routed through the owning task's control thread
-    SharedPool,  ///< routed through a small pool of control threads
+    Direct,      ///< granted in the announcing thread
+    PerTask,     ///< removed: the Runtime constructor throws
+    SharedPool,  ///< removed: the Runtime constructor throws
   };
   ControlMode control = ControlMode::Direct;
-
-  /// Pool size for ControlMode::SharedPool. Tasks are assigned to pool
-  /// threads round-robin (task id modulo pool size).
-  int shared_control_threads = 2;
 
   /// Record the measured communication-flow matrix (small overhead).
   bool record_flows = true;
 
-  /// Inline idle delivery: when a grant is announced and the target
-  /// control queue's backlog is empty, the announcing thread delivers the
-  /// grant itself (one notify on the waiter's state word) instead of
-  /// posting an event — skipping a control-thread hop (futex wake, context
-  /// switch, futex wake) that buys nothing when there is no backlog to
-  /// batch. The lock-free grant path makes this safe: announcement holds
-  /// no lock, so the woken thread's next queue operation cannot convoy
-  /// behind the announcer. Grants are the only events ever posted and a
-  /// post needs an existing backlog, so with this on no backlog forms:
-  /// every grant is delivered inline, and the PerTask/SharedPool control
-  /// threads are spawned, bound and joined without receiving one. Off
-  /// routes every grant through them. Ignored in ControlMode::Direct
-  /// (delivery is already inline).
+  /// Has no effect: every grant is delivered inline.
+  // Kept only because perfbench/ reads it; removed with ROADMAP item 1(b).
   bool inline_idle_delivery = true;
 
   /// Batched shared-read grants: a head run of >= 2 concurrent readers is
-  /// announced through ONE GrantSink::on_grant_batch call and routed with
-  /// one event post (one lock round-trip, one wake) per destination
-  /// control queue, instead of a virtual call + queue hop per reader. Off
-  /// reproduces the per-grant announcement sequence exactly (benches A/B
-  /// the two; delivery order within a run is unchanged either way).
+  /// announced through ONE GrantSink::on_grant_batch call instead of one
+  /// virtual call per reader. Off reproduces the per-grant announcement
+  /// sequence exactly (benches A/B the two; delivery order within a run is
+  /// unchanged either way).
   bool batch_grants = true;
 
   /// How every parking point of this runtime waits (handle grant waits,
-  /// control-thread event pops, the epoch barrier): block, spin, or
-  /// spin-then-park. See sync/wait_strategy.h. The default spins 256
-  /// rounds before parking, so a grant handed off within a few
-  /// microseconds is picked up without the futex park/wake pair that
-  /// `block` pays on every handoff.
+  /// the epoch barrier): block, spin, or spin-then-park. See
+  /// sync/wait_strategy.h. The default spins 256 rounds before parking, so
+  /// a grant handed off within a few microseconds is picked up without the
+  /// futex park/wake pair that `block` pays on every handoff.
   sync::WaitStrategy wait = sync::WaitStrategy::spin_then_park();
 
   /// Where location pages live (mem/policy.h): the process heap (default)
@@ -117,7 +102,7 @@ struct RuntimeOptions {
   /// changes). Shm: some locations live in a shared mapping and an ipc::
   /// endpoint (OwnerEndpoint or PeerEndpoint) is wired onto this runtime —
   /// the option is carried through RuntimeBackend so programs select the
-  /// transport the same way they select control/memory policy.
+  /// transport the same way they select the memory policy.
   enum class Transport : std::uint8_t { Inproc, Shm };
   Transport transport = Transport::Inproc;
 };
@@ -144,8 +129,7 @@ class Runtime : private GrantSink {
   /// (NUMA) locations are zero on first touch.
   LocationId add_location(std::size_t bytes, std::string name = {});
 
-  /// Create a task: one compute thread, plus one control thread and its
-  /// event queue in the opt-in ControlMode::PerTask.
+  /// Create a task: one compute thread.
   TaskId add_task(std::string name, TaskFn fn);
 
   /// Register task access to a location. When `prime` is true the runtime
@@ -178,20 +162,10 @@ class Runtime : private GrantSink {
   /// outlive run(). Requires Transport::Shm.
   void set_remote_sink(GrantSink* sink);
 
-  /// Deliver one granted request to its local waiter per this runtime's
-  /// ControlMode (the delivery half of on_grant, minus stats). Used by the
-  /// ipc:: peer pump to hand ring grants to parked handles; `req.owner`
-  /// must be a local task.
-  void route_grant(Request& req);
-
   // --- placement hooks ---------------------------------------------------
 
   /// Bind the task's compute thread to the given cpuset for the whole run.
   void set_compute_binding(TaskId task, topo::Bitmap cpuset);
-  /// Bind the task's control thread (PerTask mode).
-  void set_control_binding(TaskId task, topo::Bitmap cpuset);
-  /// Bind a shared-pool control thread (SharedPool mode).
-  void set_shared_control_binding(int pool_index, topo::Bitmap cpuset);
 
   // --- epochs (online re-placement) ---------------------------------------
   //
@@ -219,12 +193,10 @@ class Runtime : private GrantSink {
   /// The task will make no further epoch_arrive() calls.
   void epoch_retire(TaskId task);
 
-  /// Re-bind a live thread mid-run (epoch-hook context: the compute
-  /// threads are parked at the barrier). Returns false when the thread
-  /// cannot be rebound — not yet started, already exited, or (control) not
-  /// running in PerTask mode.
+  /// Re-bind a live compute thread mid-run (epoch-hook context: the
+  /// compute threads are parked at the barrier). Returns false when the
+  /// thread cannot be rebound — not yet started or already exited.
   bool rebind_compute_thread(TaskId task, const topo::Bitmap& cpuset);
-  bool rebind_control_thread(TaskId task, const topo::Bitmap& cpuset);
 
   // --- location memory placement (RuntimeOptions::memory) ----------------
 
@@ -273,8 +245,8 @@ class Runtime : private GrantSink {
   // --- execution ----------------------------------------------------------
 
   /// Prime the FIFOs, zero the pending locations (add_location), spawn
-  /// the compute threads (and control threads in PerTask/SharedPool mode),
-  /// wait for all task bodies to return. Runs once; a second call throws.
+  /// one compute thread per task, wait for all task bodies to return.
+  /// Runs once; a second call throws.
   /// Exceptions thrown by task bodies are rethrown here (first one wins).
   void run();
 
@@ -303,30 +275,18 @@ class Runtime : private GrantSink {
     std::string name;
     TaskFn fn;
     std::optional<topo::Bitmap> compute_bind;
-    std::optional<topo::Bitmap> control_bind;
-    std::unique_ptr<EventQueue> events;  ///< ControlMode::PerTask only
   };
 
   /// GrantSink: called by a location FIFO (its lock held) for every newly
-  /// granted request — records stats and routes delivery per ControlMode.
-  // sink-contract: no-queue-reentry — only posts to event queues / notifies
-  // the waiter; never calls back into the announcing FifoQueue.
+  /// granted request — records stats and delivers the grant.
+  // sink-contract: no-queue-reentry — only notifies the waiter; never
+  // calls back into the announcing FifoQueue.
   void on_grant(Request& req) override;
-  /// GrantSink: one announcement for a whole shared-read run. Bookkeeping
-  /// is per request (identical to on_grant); routing is grouped so each
-  /// destination control queue is hit once per run.
-  // sink-contract: no-queue-reentry — same as on_grant; only posts to
-  // event queues / notifies waiters, never re-enters the announcing queue.
+  /// GrantSink: one announcement for a whole shared-read run; each request
+  /// then goes through on_grant.
+  // sink-contract: no-queue-reentry — same as on_grant; only notifies
+  // waiters, never re-enters the announcing queue.
   void on_grant_batch(std::span<Request* const> reqs) override;
-  /// Deliver a batch of LOCAL granted requests per ControlMode, posting at
-  /// most one event batch per destination queue. Serialized per location
-  /// by the combiner; safe across locations (thread-local scratch only).
-  void route_grant_batch(std::span<Request* const> reqs);
-  void control_loop(TaskId task);
-  void shared_control_loop(int pool_index);
-  /// Deliver a drained event batch, coalescing duplicate announcements of
-  /// the same request (one notify per handle per pass).
-  static void deliver_batch(const std::vector<Event>& batch);
   /// Complete the current epoch boundary: run the hook (lock released
   /// while it executes), then wake the parked tasks. Caller holds `lock`
   /// on esync_mu_; the analysis cannot follow a capability through a lock
@@ -339,8 +299,6 @@ class Runtime : private GrantSink {
   std::vector<TaskRec> tasks_;
   std::vector<std::unique_ptr<Handle>> handles_;
   std::vector<HandleId> prime_order_;
-  std::vector<std::unique_ptr<EventQueue>> shared_queues_;
-  std::vector<std::optional<topo::Bitmap>> shared_bindings_;
   obs::Registry metrics_;  // declared before stats_: Instrument borrows it
   Instrument stats_;
 
@@ -351,8 +309,7 @@ class Runtime : private GrantSink {
   // word, which parked arrivals wait on through the sync:: waiter (the
   // same strategy as every other parking point). Thread handles are
   // registered under the same mutex (compute threads self-register before
-  // their first possible arrival; control handles are recorded before any
-  // compute thread exists), so the hook always sees them.
+  // their first possible arrival), so the hook always sees them.
   int epoch_length_ = 0;
   EpochHook epoch_hook_;
   sync::Mutex esync_mu_;
@@ -367,8 +324,6 @@ class Runtime : private GrantSink {
   int esync_round_ ORWL_GUARDED_BY(esync_mu_) = 0;
   std::vector<char> esync_retired_ ORWL_GUARDED_BY(esync_mu_);
   std::vector<std::optional<topo::ThreadHandle>> compute_handles_
-      ORWL_GUARDED_BY(esync_mu_);
-  std::vector<std::optional<topo::ThreadHandle>> control_handles_
       ORWL_GUARDED_BY(esync_mu_);
 };
 

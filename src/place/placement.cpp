@@ -131,18 +131,6 @@ void apply_plan(const Plan& plan, const topo::Topology& topo,
     if (cpu >= 0)
       runtime.set_compute_binding(
           t, pus[static_cast<std::size_t>(cpu)]->cpuset);
-    const int ctl = t < static_cast<int>(plan.control_pu.size())
-                        ? plan.control_pu[static_cast<std::size_t>(t)]
-                        : -1;
-    if (ctl >= 0)
-      runtime.set_control_binding(
-          t, pus[static_cast<std::size_t>(ctl)]->cpuset);
-    else if (cpu >= 0)
-      // Control thread defaults to its compute thread's PU when the policy
-      // does not manage it separately. Only the opt-in PerTask control
-      // mode has a control thread to bind.
-      runtime.set_control_binding(
-          t, pus[static_cast<std::size_t>(cpu)]->cpuset);
   }
   // Location pages follow the plan too (RuntimeOptions::memory): under
   // numa_local each location lands on its planned writer's node, under

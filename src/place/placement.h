@@ -24,6 +24,9 @@ Policy parse_policy(const std::string& name);
 
 /// A computed placement: logical PU index per task for the compute thread
 /// and (optionally, TreeMatch only) the control thread; -1 = unbound.
+/// control_pu models the paper's runtime, whose control threads Algorithm
+/// 1 line 1 places: SimBackend charges it and orwl_map prints it, but the
+/// Runtime has no control thread to bind.
 struct Plan {
   comm::Mapping compute_pu;
   comm::Mapping control_pu;
@@ -39,8 +42,8 @@ Plan compute_plan(Policy policy, const topo::Topology& topo,
                   const treematch::Options& tm_opts = {},
                   std::uint64_t seed = 42);
 
-/// Install the plan's bindings on the runtime (cpusets of the mapped PUs)
-/// and place location memory per the runtime's memory policy
+/// Bind the runtime's compute threads to the plan's PUs (cpusets of the
+/// mapped PUs) and place location memory per the runtime's memory policy
 /// (Runtime::place_location_memory: numa_local pages go to the planned
 /// writers' nodes). Tasks with -1 entries are left unbound.
 void apply_plan(const Plan& plan, const topo::Topology& topo,

@@ -7,8 +7,8 @@
 // current mapping was computed from. When the normalized distance
 // (comm::normalized_distance — total variation of the volume-normalized
 // patterns) exceeds the policy's threshold, Algorithm 1 re-runs on the
-// fresh window and the backend rebinds the compute and control threads
-// in place (topo::bind_thread), without stopping the run.
+// fresh window and the backend rebinds the compute threads in place
+// (topo::bind_thread), without stopping the run.
 //
 // Both backends drive the same Replacer: RuntimeBackend feeds it measured
 // Instrument windows and physically migrates threads; SimBackend feeds it

@@ -1,8 +1,8 @@
 #pragma once
 // WaitStrategy: how a thread waits for a synchronization word to change.
 //
-// Every parking point of the ORWL core (handle grant waits, control-thread
-// event pops, the epoch barrier) funnels through sync::wait_while_equal
+// Every parking point of the ORWL core (handle grant waits, the epoch
+// barrier) funnels through sync::wait_while_equal
 // (waiter.h), and this strategy decides what the calling thread does while
 // the word still holds the old value:
 //
@@ -24,11 +24,11 @@
 // 4-CPU host one futex park/wake handoff of a word costs ~1.9 us against
 // ~0.1 us spinning, and a grant-bound pipeline (4 stages, 2000 frames)
 // runs ~44 -> ~13 ms per execution on half the CPU time, while a
-// compute-bound stencil does not move. With the default Direct control
-// (no control threads), block is faster beyond noise on no registered
-// workload, on 4 CPUs or on one PU, programs of 36-64 tasks included (it
-// won at most half the alternating pairs); the 6-9% loss once seen
-// at 36-48 tasks came with idle per-task control threads. A
+// compute-bound stencil does not move. With one thread per task, block is
+// faster beyond noise on no registered workload, on 4 CPUs or on one PU,
+// programs of 36-64 tasks included (it won at most half the alternating
+// pairs); the 6-9% loss once seen at 36-48 tasks came with the idle
+// per-task control threads the runtime no longer starts. A
 // default-constructed WaitStrategy is block, and so is the ipc
 // transport's.
 //

@@ -28,8 +28,8 @@ using ThreadHandle = int;
 ThreadHandle current_thread_handle();
 
 /// Re-bind a (possibly running) thread to `cpuset` — the mid-run migration
-/// primitive the online re-placer uses on parked compute threads and live
-/// control threads. Same failure semantics as bind_current_thread; also
+/// primitive the online re-placer uses on parked compute threads. Same
+/// failure semantics as bind_current_thread; also
 /// returns false when the target thread has already exited.
 bool bind_thread(ThreadHandle thread, const Bitmap& cpuset);
 

@@ -29,14 +29,30 @@ namespace orwl::workloads::detail {
 
 namespace {
 
-/// Chunk element k published by task i in round r.
-double chunk_value(int i, int r, long k) {
-  return static_cast<double>((i * 31 + r * 17 + k * 7) & 255) / 256.0;
+/// Integer added to every element of task i's round-r chunk. `7k & 255`
+/// takes each of its 256 values equally often over 256 consecutive k, so
+/// without the offset every chunk of a multiple of 256 elements would have
+/// the same sum, and a stale or misrouted read would still verify. It
+/// differs between consecutive rounds of one task and between the tasks of
+/// one round (up to 64 tasks).
+int chunk_offset(int i, int r) { return (i * 17 + r * 5) & 63; }
+
+/// Chunk element k published by task i in round r; `offset` is
+/// chunk_offset(i, r). A multiple of 2^-8, so sums of chunks are exact.
+double chunk_value(int i, int r, long k, int offset) {
+  return static_cast<double>(((i * 31 + r * 17 + k * 7) & 255) + offset) /
+         256.0;
 }
 
-/// Pipeline source frame element k of frame r.
-double frame_value(int r, long k) {
-  return static_cast<double>((r * 13 + k * 5) & 127) / 128.0;
+/// Integer added to every element of pipeline frame r, for the same reason
+/// as chunk_offset (`5k & 127` repeats every 128 elements). It differs
+/// between consecutive frames.
+int frame_offset(int r) { return (r * 5) & 63; }
+
+/// Pipeline source frame element k of frame r; `offset` is
+/// frame_offset(r). A multiple of 2^-7.
+double frame_value(int r, long k, int offset) {
+  return static_cast<double>(((r * 13 + k * 5) & 127) + offset) / 128.0;
 }
 
 /// Per-stage pipeline transform (applied by stages 1..n-1).
@@ -110,10 +126,11 @@ Built build_alltoall(Program& p, const Params& params) {
                    static_cast<std::size_t>(n - 1) * elems)](Step& s) mutable {
           if (s.first()) acc = 0.0;
           const int r = s.round();
+          const int offset = chunk_offset(i, r);
           s.write(chunks[static_cast<std::size_t>(i)],
                   [&](std::span<double> out) {
                     for (std::size_t k = 0; k < elems; ++k)
-                      out[k] = chunk_value(i, r, static_cast<long>(k));
+                      out[k] = chunk_value(i, r, static_cast<long>(k), offset);
                   });
           auto dst = copies.begin();
           for (int j = 0; j < n; ++j) {
@@ -139,9 +156,10 @@ Built build_alltoall(Program& p, const Params& params) {
       for (int r = 0; r < T; ++r)
         for (int j = 0; j < n; ++j) {
           if (j == i) continue;
+          const int offset = chunk_offset(j, r);
           double sum = 0.0;
           for (std::size_t k = 0; k < elems; ++k)
-            sum += chunk_value(j, r, static_cast<long>(k));
+            sum += chunk_value(j, r, static_cast<long>(k), offset);
           want += sum;
         }
       const double have =
@@ -195,8 +213,9 @@ Built build_pipeline(Program& p, const Params& params) {
                frame = std::vector<double>(elems)](Step& s) mutable {
           const int r = s.round();
           if (head) {
+            const int offset = frame_offset(r);
             for (std::size_t k = 0; k < elems; ++k)
-              frame[k] = frame_value(r, static_cast<long>(k));
+              frame[k] = frame_value(r, static_cast<long>(k), offset);
           } else {
             s.read(in, [&](std::span<const double> prev) {
               std::copy(prev.begin(), prev.end(), frame.begin());
@@ -224,8 +243,9 @@ Built build_pipeline(Program& p, const Params& params) {
     const std::vector<double> got = backend.fetch(sums);
     for (int r = 0; r < T; ++r) {
       std::vector<double> frame(elems);
+      const int offset = frame_offset(r);
       for (std::size_t k = 0; k < elems; ++k)
-        frame[k] = frame_value(r, static_cast<long>(k));
+        frame[k] = frame_value(r, static_cast<long>(k), offset);
       for (int stage = 1; stage < n; ++stage)
         for (std::size_t k = 0; k < elems; ++k)
           frame[k] = stage_transform(stage, frame[k]);

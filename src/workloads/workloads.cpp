@@ -105,8 +105,7 @@ const std::vector<Workload>& registry() {
        detail::build_phaseshift},
       {"oversub",
        "oversubscription stress: periodic token ring with tasks >> PUs "
-       "(one live thread per task, 2*tasks under PerTask control; yield "
-       "storms, futex convoys)",
+       "(one live thread per task; yield storms, futex convoys)",
        {.tasks = 48, .size = 128, .iterations = 6},
        detail::build_oversub},
   };

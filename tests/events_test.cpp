@@ -1,4 +1,5 @@
-// Unit tests for the control-thread event queue.
+// Unit tests for the event queue. Kept only because perfbench/ reads
+// EventQueue; removed with ROADMAP item 1(b).
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,7 @@
 // End-to-end integration tests: the shared ORWL LK23 definition
 // (lk23::define_lk23_program on a RuntimeBackend) and the fork-join
 // implementation must reproduce the blocked reference bit-for-bit, under
-// every placement policy and control mode.
+// every placement policy.
 
 #include <gtest/gtest.h>
 
@@ -34,9 +34,8 @@ struct ProgramRun {
 };
 
 ProgramRun run_program(const Spec& spec, place::Policy policy,
-                       RuntimeOptions opts = {},
                        topo::Topology topo = topo::Topology::host()) {
-  RuntimeBackend be(opts, std::move(topo));
+  RuntimeBackend be({}, std::move(topo));
   ProgramDef def;
   ProgramRun run;
   run.report = run_lk23_program(spec, policy, be, &def);
@@ -84,14 +83,6 @@ TEST(OrwlLk23, AllPoliciesProduceIdenticalResults) {
         << "policy " << place::to_string(policy)
         << " changed the numerics";
   }
-}
-
-TEST(OrwlLk23, DirectControlModeIdentical) {
-  const Spec spec = small_spec();
-  RuntimeOptions direct;
-  direct.control = RuntimeOptions::ControlMode::Direct;
-  const ProgramRun res = run_program(spec, place::Policy::TreeMatch, direct);
-  EXPECT_EQ(max_abs_diff(res.za, blocked_reference(spec)), 0.0);
 }
 
 TEST(OrwlLk23, StaticMatrixMatchesStencilStructure) {
@@ -155,21 +146,12 @@ TEST(OrwlVsForkJoin, IdenticalFields) {
   EXPECT_EQ(max_abs_diff(orwl_res.za, fj_res.za), 0.0);
 }
 
-TEST(OrwlLk23, SharedPoolControlModeIdentical) {
-  const Spec spec = small_spec();
-  RuntimeOptions opts;
-  opts.control = RuntimeOptions::ControlMode::SharedPool;
-  opts.shared_control_threads = 3;
-  const ProgramRun res = run_program(spec, place::Policy::TreeMatch, opts);
-  EXPECT_EQ(max_abs_diff(res.za, blocked_reference(spec)), 0.0);
-}
-
 TEST(OrwlLk23, ForeignTopologyBindingsFailGracefully) {
   // Planning against the paper's 192-core machine on a small host: the
   // cpusets name CPUs that do not exist, bind_current_thread returns
   // false, and the program must still run to the correct result.
   const Spec spec = small_spec();
-  const ProgramRun res = run_program(spec, place::Policy::TreeMatch, {},
+  const ProgramRun res = run_program(spec, place::Policy::TreeMatch,
                                      topo::Topology::paper_machine());
   EXPECT_EQ(max_abs_diff(res.za, blocked_reference(spec)), 0.0);
 }

@@ -1,6 +1,6 @@
 // Stress and invariant tests for the ORWL runtime under real concurrency:
 // mutual exclusion, shared-read concurrency, no lost updates, liveness of
-// long iterative chains, both control modes.
+// long iterative chains, under every wait strategy.
 
 #include <gtest/gtest.h>
 
@@ -9,17 +9,16 @@
 #include <thread>
 
 #include "orwl/runtime.h"
+#include "sync/wait_strategy.h"
 
 namespace orwl {
 namespace {
 
-class StressTest
-    : public ::testing::TestWithParam<RuntimeOptions::ControlMode> {
+class StressTest : public ::testing::TestWithParam<sync::WaitStrategy> {
  protected:
   RuntimeOptions opts() {
     RuntimeOptions o;
-    o.control = GetParam();
-    o.shared_control_threads = 3;
+    o.wait = GetParam();
     return o;
   }
 };
@@ -209,15 +208,15 @@ TEST_P(StressTest, ManyLocationsManyTasks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ControlModes, StressTest,
-    ::testing::Values(RuntimeOptions::ControlMode::Direct,
-                      RuntimeOptions::ControlMode::PerTask,
-                      RuntimeOptions::ControlMode::SharedPool),
+    WaitStrategies, StressTest,
+    ::testing::Values(sync::WaitStrategy::block(),
+                      sync::WaitStrategy::spin_then_park(),
+                      sync::WaitStrategy::spin()),
     [](const auto& info) {
-      switch (info.param) {
-        case RuntimeOptions::ControlMode::Direct: return "Direct";
-        case RuntimeOptions::ControlMode::PerTask: return "PerTask";
-        case RuntimeOptions::ControlMode::SharedPool: return "SharedPool";
+      switch (info.param.mode) {
+        case sync::WaitMode::Block: return "Block";
+        case sync::WaitMode::SpinThenPark: return "SpinThenPark";
+        case sync::WaitMode::Spin: return "Spin";
       }
       return "Unknown";
     });

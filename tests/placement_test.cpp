@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "comm/patterns.h"
 #include "place/placement.h"
 #include "support/assert.h"
+#include "topo/binding.h"
 
 namespace orwl::place {
 namespace {
@@ -115,11 +117,17 @@ TEST(ComputePlan, RejectsEmptyMatrix) {
                ContractError);
 }
 
-TEST(ApplyPlan, BindsComputeAndControl) {
+TEST(ApplyPlan, BindsComputeThreads) {
+  // The task's compute thread runs on its planned PU. control_pu is the
+  // simulator's model of the paper's control threads; the runtime has no
+  // control thread, so it binds nothing.
   const auto topo = topo::Topology::host();
+  const int last = topo.num_pus() - 1;
   Runtime rt;
   const LocationId loc = rt.add_location(sizeof(int));
-  const TaskId t = rt.add_task("t", [](TaskContext& ctx) {
+  std::optional<topo::Bitmap> seen;
+  const TaskId t = rt.add_task("t", [&seen](TaskContext& ctx) {
+    seen = topo::current_thread_binding();
     Handle& h = ctx.handle(0);
     auto bytes = h.acquire();
     as_span<int>(bytes)[0] = 11;
@@ -127,11 +135,14 @@ TEST(ApplyPlan, BindsComputeAndControl) {
   });
   rt.add_handle(t, loc, AccessMode::Write);
   Plan plan;
-  plan.compute_pu = {0};
-  plan.control_pu = {-1};  // falls back to the compute PU
+  plan.compute_pu = {last};
+  plan.control_pu = {0};
   apply_plan(plan, topo, rt);
   rt.run();
   EXPECT_EQ(as_span<int>(rt.location_data(loc))[0], 11);
+  if (seen) {
+    EXPECT_EQ(*seen, topo.pus()[static_cast<std::size_t>(last)]->cpuset);
+  }
 }
 
 TEST(ApplyPlan, RejectsShortPlan) {

@@ -13,12 +13,6 @@
 namespace orwl {
 namespace {
 
-RuntimeOptions direct_mode() {
-  RuntimeOptions o;
-  o.control = RuntimeOptions::ControlMode::Direct;
-  return o;
-}
-
 TEST(Program, TypedLocationGeometry) {
   Program p;
   const Location<long> a = p.location<long>(4, "a");
@@ -40,7 +34,7 @@ TEST(Program, SingleTaskWritesTypedSpan) {
       std::iota(v.begin(), v.end(), 7);
     });
   });
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   const RunReport rep = p.run(be);
   EXPECT_EQ(rep.backend, "runtime");
   EXPECT_FALSE(rep.placed);
@@ -55,7 +49,7 @@ TEST(Program, InitHookRunsBeforeTasks) {
   p.task("reader").reads(loc).body([loc, &seen0](Step& s) {
     seen0 = s.read(loc, [](std::span<const double> v) { return v[0] + v[1]; });
   });
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   p.run(be);
   EXPECT_EQ(seen0, 4.0);
 }
@@ -82,7 +76,7 @@ TEST(Program, AutoRenewAlternationMatchesManualDiscipline) {
           v[0] += 1;
         });
       });
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   const RunReport rep = p.run(be);
   ASSERT_EQ(seen_a.size(), static_cast<std::size_t>(kIters));
   ASSERT_EQ(seen_b.size(), static_cast<std::size_t>(kIters));
@@ -106,7 +100,7 @@ TEST(Program, DeclaredButUnusedHandleIsDrained) {
   p.task("eager").writes(loc).body([loc](Step& s) {
     s.write(loc, [](std::span<long> v) { v[0] = 42; });
   });
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   p.run(be);
   EXPECT_EQ(be.fetch(loc)[0], 42);
 }
@@ -122,7 +116,7 @@ TEST(Program, LastIterationReleasesWithoutRenew) {
     EXPECT_EQ(s.last(), s.round() + 1 == kIters);
     s.write(loc, [&](std::span<long> v) { v[0] += 1; });
   });
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   const RunReport rep = p.run(be);
   EXPECT_EQ(be.fetch(loc)[0], kIters);
   EXPECT_EQ(rep.grants, static_cast<std::uint64_t>(kIters));
@@ -135,7 +129,7 @@ TEST(Program, UndeclaredAccessThrows) {
   p.task("t").writes(a).body([b](Step& s) {
     s.write(b, [](std::span<long>) {});  // never declared
   });
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   EXPECT_THROW(p.run(be), ContractError);
 }
 
@@ -145,7 +139,7 @@ TEST(Program, WrongModeAccessThrows) {
   p.task("t").reads(a).body([a](Step& s) {
     s.write(a, [](std::span<long>) {});  // declared read, asked for write
   });
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   EXPECT_THROW(p.run(be), ContractError);
 }
 
@@ -166,7 +160,7 @@ TEST(Program, RunWithoutBodyThrows) {
   const Location<long> a = p.location<long>(1);
   p.task("structural").writes(a);  // no body: fine for analysis only
   EXPECT_NO_THROW(p.static_comm_matrix());
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   EXPECT_THROW(p.run(be), ContractError);
 }
 
@@ -196,7 +190,7 @@ TEST(Program, PrimingRanksControlFirstGrant) {
   p.task("producer").writes(loc, {.rank = 0}).body([loc](Step& s) {
     s.write(loc, [](std::span<int> v) { v[0] = 7; });
   });
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   p.run(be);
   EXPECT_EQ(seen, 7);
 }
@@ -213,7 +207,7 @@ TEST(Program, DefaultPrimingIsDeclarationOrder) {
   p.task("producer").writes(loc).body([loc](Step& s) {
     s.write(loc, [](std::span<int> v) { v[0] = 7; });
   });
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   p.run(be);
   EXPECT_EQ(seen, 0);
 }
@@ -231,7 +225,7 @@ TEST(Program, SectionSpanFormsAndMoves) {
     Section<int> moved = std::move(sec);  // moved-from dtor must be a no-op
     moved[3] = 4;
   });
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   p.run(be);
   EXPECT_EQ(be.fetch(loc), (std::vector<int>{1, 2, 3, 4}));
 }
@@ -240,7 +234,7 @@ TEST(Handle, ConstAcquirePath) {
   // The quickstart wart: a Read handle had to convert the mutable byte
   // span manually before as_span<const T>. acquire_const() is the direct
   // const path.
-  Runtime rt(direct_mode());
+  Runtime rt;
   const LocationId loc = rt.add_location(sizeof(long));
   const TaskId w = rt.add_task("w", [](TaskContext& ctx) {
     Handle& h = ctx.handle(0);
@@ -271,7 +265,7 @@ TEST(Program, PlacePopulatesPlan) {
     s.read(a, [](std::span<const long>) {});
   });
   p.place(place::Policy::Compact);
-  RuntimeBackend be(direct_mode());
+  RuntimeBackend be;
   const RunReport rep = p.run(be);
   EXPECT_TRUE(rep.placed);
   ASSERT_EQ(rep.plan.compute_pu.size(), 2u);

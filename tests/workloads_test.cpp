@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "comm/patterns.h"
@@ -122,20 +124,12 @@ TEST(Workloads, MeasuredFlowsMatchPredictedSupport) {
   }
 }
 
-// Every parking point (grant waits, control-thread event pops, the epoch
-// barrier) under every wait strategy and every control mode, against the
-// same oracle: the data must verify, and the grant count must equal the
-// default run's — how a grant is delivered or waited for never changes
-// how many there are. Re-placing every epoch puts the epoch barrier on
-// the path.
-TEST(Workloads, EveryWaitStrategyAndControlModeMatchesTheDefaultRun) {
-  using Mode = RuntimeOptions::ControlMode;
-  const struct {
-    Mode mode;
-    const char* name;
-  } modes[] = {{Mode::Direct, "direct"},
-               {Mode::PerTask, "per-task"},
-               {Mode::SharedPool, "shared-pool"}};
+// Every parking point (grant waits, the epoch barrier) under every wait
+// strategy, against the same oracle: the data must verify, and the grant
+// count must equal the default run's — how a grant is waited for never
+// changes how many there are. Re-placing every epoch puts the epoch
+// barrier on the path.
+TEST(Workloads, EveryWaitStrategyMatchesTheDefaultRun) {
   const auto build = [](const Workload& w, Program& p) {
     Built built = w.build(p, tiny());
     p.place(place::Policy::TreeMatch);
@@ -156,26 +150,22 @@ TEST(Workloads, EveryWaitStrategyAndControlModeMatchesTheDefaultRun) {
     for (const sync::WaitStrategy ws :
          {sync::WaitStrategy::block(), sync::WaitStrategy::spin_then_park(256),
           sync::WaitStrategy::spin()}) {
-      for (const auto& m : modes) {
-        SCOPED_TRACE(w.name + " / " + sync::to_string(ws) + " / " + m.name);
-        Program p;
-        const Built built = build(w, p);
-        p.wait_strategy(ws);
-        RuntimeOptions opts;
-        opts.control = m.mode;
-        RuntimeBackend backend(opts);
-        const RunReport rep = p.run(backend);
-        std::string why;
-        EXPECT_TRUE(built.verify(backend, why)) << why;
-        EXPECT_EQ(rep.grants, default_grants);
-      }
+      SCOPED_TRACE(w.name + " / " + sync::to_string(ws));
+      Program p;
+      const Built built = build(w, p);
+      p.wait_strategy(ws);
+      RuntimeBackend backend;
+      const RunReport rep = p.run(backend);
+      std::string why;
+      EXPECT_TRUE(built.verify(backend, why)) << why;
+      EXPECT_EQ(rep.grants, default_grants);
     }
   }
 }
 
 // The oversubscription gate (ROADMAP stress tier): tasks far beyond the
 // PU count — on the 1-PU CI hosts this is 32 compute threads (one per
-// task under the default Direct control) convoying on one core — must
+// task) convoying on one core — must
 // still verify bit-exactly, bound or unbound. Run on the runtime default
 // wait strategy and on `block`.
 void run_oversubscribed(std::optional<sync::WaitStrategy> ws) {
@@ -300,7 +290,8 @@ TEST(Workloads, GridWorkloadsGrantEveryDeclaredAccess) {
 // checked exact against their references at n - 1 = 0 chunks (nothing to
 // read), 1 and 2 (no group), 3 (one group), 4 (a group and one left
 // over), 6 (two groups) and 8 (two groups and two left over), from
-// one-element chunks up, and over rounds that carry each peer's sum and
+// one-element chunks up to the benchmark's 1024, and over rounds that
+// carry each peer's sum and
 // the hand-off buffers from one round into the next. A chunk folded twice
 // or left out shows; the order of the adds cannot: every chunk value and
 // every partial sum is a multiple of 1/256 far below 2^45, so each add is
@@ -308,10 +299,76 @@ TEST(Workloads, GridWorkloadsGrantEveryDeclaredAccess) {
 TEST(Workloads, ExchangeWorkloadsMatchReferenceOnEveryShape) {
   for (const char* workload : {"alltoall", "pipeline"})
     for (const int tasks : {1, 2, 3, 4, 5, 7, 9})
-      for (const long size : {1, 2, 3, 7, 33})
+      for (const long size : {1, 2, 3, 7, 33, 1024})
         for (const int iterations : {1, 2, 5})
           check_both(workload, {.tasks = tasks, .size = size,
                                 .iterations = iterations});
+}
+
+// The doubles of the location named `name` after `p` ran on `backend`.
+std::span<double> location_doubles(const Program& p, RuntimeBackend& backend,
+                                   const std::string& name) {
+  for (LocationId id = 0; id < p.num_locations(); ++id)
+    if (p.location_decls()[static_cast<std::size_t>(id)].name == name)
+      return as_span<double>(backend.runtime().location_data(id));
+  ADD_FAILURE() << "no location " << name;
+  return {};
+}
+
+double sum_of(std::span<const double> v) {
+  return std::accumulate(v.begin(), v.end(), 0.0);
+}
+
+// At the benchmark's size of 1024 doubles, a stale or misrouted read must
+// not verify. Each case edits one result the way such a read would have
+// left it: an alltoall peer that folded a neighbour's chunk of the round
+// before, or another neighbour's chunk in its place, in the last round;
+// and a pipeline frame whose checksum is its predecessor's, as when a
+// stage reads the frame before.
+TEST(Workloads, ExchangeVerificationCatchesStaleAndMisroutedReads) {
+  const auto run = [](const char* workload, int iterations, Program& p,
+                      RuntimeBackend& backend) {
+    Built built = get(workload).build(
+        p, {.tasks = 4, .size = 1024, .iterations = iterations});
+    p.run(backend);
+    return built;
+  };
+  {
+    // The chunks after 3 rounds, and after 2: round 1's.
+    Program p, before;
+    RuntimeBackend backend, before_backend;
+    const Built built = run("alltoall", 3, p, backend);
+    run("alltoall", 2, before, before_backend);
+    std::string why;
+    ASSERT_TRUE(built.verify(backend, why)) << why;
+    double& acc = location_doubles(p, backend, "acc0")[0];
+    const double good = acc;
+    const double last1 = sum_of(location_doubles(p, backend, "chunk1"));
+    const double prev1 =
+        sum_of(location_doubles(before, before_backend, "chunk1"));
+    const double last2 = sum_of(location_doubles(p, backend, "chunk2"));
+    acc = good - last1 + prev1;
+    EXPECT_FALSE(built.verify(backend, why)) << "a stale read verified";
+    acc = good - last1 + last2;
+    EXPECT_FALSE(built.verify(backend, why)) << "a misrouted read verified";
+  }
+  {
+    Program p;
+    RuntimeBackend backend;
+    const Built built = run("pipeline", 16, p, backend);
+    std::string why;
+    ASSERT_TRUE(built.verify(backend, why)) << why;
+    const std::span<double> sums = location_doubles(p, backend, "sums");
+    ASSERT_EQ(sums.size(), 16u);
+    for (std::size_t r = 1; r < sums.size(); ++r) {
+      const double good = sums[r];
+      sums[r] = sums[r - 1];
+      EXPECT_FALSE(built.verify(backend, why))
+          << "frame " << r << " verified with frame " << r - 1
+          << "'s checksum";
+      sums[r] = good;
+    }
+  }
 }
 
 // Every declared access of an exchange workload is granted once per
